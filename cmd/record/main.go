@@ -346,7 +346,8 @@ func compile(c *config, rep *diag.Reporter, budget *diag.Budget, stdout, stderr 
 
 // compileRemote compiles against a running recordd instead of the local
 // pipeline.  The model is retargeted once server-side (paying at most one
-// cache miss); programs then compile by artifact key.  The client retries
+// cache miss); programs then compile against the same model, which the
+// node that owns it holds in memory.  The client retries
 // transient failures (shed 429s, drain/breaker 503s, injected 5xx faults)
 // with backoff and honors the service's Retry-After — a briefly unhealthy
 // service costs latency, not a failed build.
@@ -359,7 +360,7 @@ func compileRemote(c *config, budget *diag.Budget, stdout io.Writer) error {
 	case c.showSeq:
 		return usagef("-seq is local-only; it cannot be combined with -server")
 	case c.cacheDir != "":
-		return usagef("-cache-dir is local-only; the server has its own artifact cache")
+		return usagef("-cache-dir is local-only; the server keeps its own cache")
 	case c.priority != "" && c.priority != "interactive" && c.priority != "batch":
 		return usagef("-priority must be interactive or batch, not %q", c.priority)
 	}
@@ -397,9 +398,9 @@ func compileRemote(c *config, budget *diag.Budget, stdout io.Writer) error {
 		return err
 	}
 	if c.showStats {
-		state := "miss"
-		if rt.Cache == "hit" || rt.Cache == "hit-disk" || rt.Cache == "coalesced" {
-			state = "hit"
+		state := "hit"
+		if rt.Cache == "miss" {
+			state = "miss"
 		}
 		fmt.Fprintf(stdout, "cache: %s (remote)\n", state)
 		fmt.Fprintf(stdout, "retargeted %s remotely: %d templates, %d rules\n",
@@ -409,7 +410,10 @@ func compileRemote(c *config, budget *diag.Budget, stdout io.Writer) error {
 		}
 	}
 
-	byKey := rclient.ModelRef{Key: rt.Key}
+	// Compiles name the model, not the retarget's key: the routing key is
+	// the same content address either way, but a node that lacks the
+	// model (its owner died, or it evicted the entry) can recompute from
+	// a name while it can only 404 a key.
 	opts := rclient.CompileOptions{
 		NoCompaction: c.core.NoCompaction,
 		NoPeephole:   c.core.NoPeephole,
@@ -420,7 +424,7 @@ func compileRemote(c *config, budget *diag.Budget, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		res, err := cl.Compile(ctx, byKey, src, opts)
+		res, err := cl.Compile(ctx, ref, src, opts)
 		if err != nil {
 			return err
 		}
@@ -438,7 +442,7 @@ func compileRemote(c *config, budget *diag.Budget, stdout io.Writer) error {
 		src, err := os.ReadFile(file)
 		if err == nil {
 			var res *rclient.CompileResult
-			if res, err = cl.Compile(ctx, byKey, string(src), opts); err == nil {
+			if res, err = cl.Compile(ctx, ref, string(src), opts); err == nil {
 				printRemoteResult(stdout, res)
 			}
 		}

@@ -3,10 +3,22 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 )
+
+// benchClient keeps one idle connection per benchmark goroutine, so every
+// timed request reuses a keep-alive connection instead of dialling.
+var benchClient = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 64}}
+
+// drain reads the rest of a response body and closes it; a body closed
+// unread cannot return its connection to the keep-alive pool.
+func drain(resp *http.Response) {
+	_, _ = io.Copy(io.Discard, resp.Body)
+	_ = resp.Body.Close()
+}
 
 // benchServer starts a service, warms the demo artifact and returns the
 // compile endpoint plus a request body compiling by key.
@@ -25,10 +37,11 @@ func benchServer(b *testing.B, cfg serverConfig) (string, []byte) {
 		b.Fatal(err)
 	}
 	var rt retargetResponse
-	if err := json.NewDecoder(resp.Body).Decode(&rt); err != nil {
+	err = json.NewDecoder(resp.Body).Decode(&rt)
+	drain(resp)
+	if err != nil {
 		b.Fatal(err)
 	}
-	resp.Body.Close()
 	body, _ := json.Marshal(map[string]string{
 		"key":    rt.Key,
 		"source": "int a = 2; int b = 3; int y; y = a + b;",
@@ -46,14 +59,14 @@ func BenchmarkServerCompile(b *testing.B) {
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+			resp, err := benchClient.Post(url, "application/json", bytes.NewReader(body))
 			if err != nil {
 				b.Fatal(err)
 			}
 			if resp.StatusCode != http.StatusOK {
 				b.Fatalf("status %d", resp.StatusCode)
 			}
-			_ = resp.Body.Close()
+			drain(resp)
 		}
 	})
 }
@@ -70,14 +83,14 @@ func BenchmarkServerCompileShed(b *testing.B) {
 	b.SetParallelism(4)
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+			resp, err := benchClient.Post(url, "application/json", bytes.NewReader(body))
 			if err != nil {
 				b.Fatal(err)
 			}
 			if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusTooManyRequests {
 				b.Fatalf("status %d", resp.StatusCode)
 			}
-			_ = resp.Body.Close()
+			drain(resp)
 		}
 	})
 }
@@ -102,14 +115,14 @@ func BenchmarkServerCompileQoS(b *testing.B) {
 			req.Header.Set("Content-Type", "application/json")
 			req.Header.Set("X-Record-Priority", classes[i%len(classes)])
 			i++
-			resp, err := http.DefaultClient.Do(req)
+			resp, err := benchClient.Do(req)
 			if err != nil {
 				b.Fatal(err)
 			}
 			if resp.StatusCode != http.StatusOK {
 				b.Fatalf("status %d", resp.StatusCode)
 			}
-			_ = resp.Body.Close()
+			drain(resp)
 		}
 	})
 }

@@ -1,12 +1,11 @@
 // Chaos harness for the resilient compile service: concurrent traffic with
-// armed faultpoints, a mid-flight SIGTERM drain, crash-shaped cache damage
-// and a model that fails until its circuit opens.  The invariants under
+// armed faultpoints, a mid-flight SIGTERM drain and a model that fails
+// until its circuit opens.  The invariants under
 // test are the resilience model's contract (DESIGN.md "Resilience model"):
 //
 //   - no accepted request is dropped without an explicit 4xx/5xx status;
 //   - SIGTERM loses no in-flight request and the process exits within the
 //     drain timeout;
-//   - the cache recovers from orphaned temp files and corrupt artifacts;
 //   - a repeatedly failing model trips its breaker (fast 503s with
 //     Retry-After) while other models keep compiling, and recovers through
 //     a half-open probe once the fault clears.
@@ -22,7 +21,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"syscall"
@@ -58,7 +56,7 @@ func rawPost(url string, body interface{}) (int, http.Header, string, error) {
 
 // TestChaosFaultedTrafficAlwaysAnswered storms a small faulted server with
 // mixed traffic.  Whatever the armed faults do — failed worker spawns,
-// dying disk writes, broken response encoders, slow extractions — every
+// broken response encoders, slow extractions — every
 // request must come back with an explicit status from the documented set,
 // and the service must return to full health once the faults clear.
 func TestChaosFaultedTrafficAlwaysAnswered(t *testing.T) {
@@ -66,11 +64,10 @@ func TestChaosFaultedTrafficAlwaysAnswered(t *testing.T) {
 	defer faultpoint.Reset()
 
 	_, ts := newTestServer(t, serverConfig{
-		workers: 2, maxQueue: 4, cacheDir: t.TempDir(),
+		workers: 2, maxQueue: 4,
 	})
 	for _, spec := range []string{
 		"recordd.worker.spawn=error*3",
-		"rcache.disk.write=error*2",
 		"recordd.response.encode=error*2",
 		"ise.extract=delay:20ms*4",
 	} {
@@ -143,7 +140,7 @@ func TestChaosDrainSIGTERM(t *testing.T) {
 	skipChaos(t)
 	defer faultpoint.Reset()
 
-	s, err := newServer(serverConfig{workers: 4, cacheDir: t.TempDir()})
+	s, err := newServer(serverConfig{workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,82 +230,6 @@ func TestDrainRefusesNewWork(t *testing.T) {
 	}
 	if hdr.Get("Retry-After") == "" {
 		t.Fatal("draining refusal missing Retry-After")
-	}
-}
-
-// TestChaosCacheCrashRecovery damages the cache directory the way crashes
-// do — an orphaned temp file from a kill -9 mid-write, a truncated
-// artifact from a torn write — and asserts a fresh server heals both:
-// orphans are swept at startup, corrupt artifacts are dropped and
-// recomputed, and the rewritten artifact serves disk hits again.
-func TestChaosCacheCrashRecovery(t *testing.T) {
-	skipChaos(t)
-	defer faultpoint.Reset()
-	dir := t.TempDir()
-
-	// A first server populates the cache.
-	_, ts := newTestServer(t, serverConfig{cacheDir: dir})
-	var rt retargetResponse
-	if code, raw := post(t, ts.URL+"/v1/retarget", map[string]string{"model_name": "demo"}, &rt); code != http.StatusOK {
-		t.Fatalf("seed retarget: %d %s", code, raw)
-	}
-
-	// Crash damage: an orphaned temp and a truncated artifact.
-	orphan := filepath.Join(dir, "."+rt.Key+".tmp12345")
-	if err := os.WriteFile(orphan, []byte("partial write"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	art := filepath.Join(dir, rt.Key+".rart")
-	data, err := os.ReadFile(art)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(art, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// A fresh server sweeps the orphan at startup...
-	s2, ts2 := newTestServer(t, serverConfig{cacheDir: dir})
-	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
-		t.Fatal("orphaned temp file survived the recovery scan")
-	}
-	if s2.cache.Stats().Orphans != 1 {
-		t.Fatalf("orphans recovered = %d, want 1", s2.cache.Stats().Orphans)
-	}
-	// ...and recomputes through the corrupt artifact.
-	var rt2 retargetResponse
-	if code, raw := post(t, ts2.URL+"/v1/retarget", map[string]string{"model_name": "demo"}, &rt2); code != http.StatusOK {
-		t.Fatalf("retarget over corrupt artifact: %d %s", code, raw)
-	}
-	if rt2.Key != rt.Key {
-		t.Fatalf("key changed across recovery: %s vs %s", rt2.Key, rt.Key)
-	}
-	if s2.cache.Stats().Corrupt != 1 {
-		t.Fatalf("corrupt drops = %d, want 1", s2.cache.Stats().Corrupt)
-	}
-
-	// The rewritten artifact is whole again: a third server gets disk hits.
-	_, ts3 := newTestServer(t, serverConfig{cacheDir: dir})
-	var rt3 retargetResponse
-	if code, raw := post(t, ts3.URL+"/v1/retarget", map[string]string{"model_name": "demo"}, &rt3); code != http.StatusOK || !strings.Contains(rt3.Cache, "hit") {
-		t.Fatalf("post-recovery retarget: %d %s outcome %q, want a hit", code, raw, rt3.Cache)
-	}
-
-	// A store that dies mid-write (injected) must leave no temp behind.
-	if err := faultpoint.ArmSpec("rcache.disk.write=error"); err != nil {
-		t.Fatal(err)
-	}
-	if code, raw := post(t, ts3.URL+"/v1/retarget", map[string]string{"model_name": "ref"}, nil); code != http.StatusOK {
-		t.Fatalf("retarget with dying disk write: %d %s", code, raw)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if strings.Contains(e.Name(), ".tmp") {
-			t.Fatalf("failed store leaked temp file %s", e.Name())
-		}
 	}
 }
 

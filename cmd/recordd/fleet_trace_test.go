@@ -1,9 +1,9 @@
-// Fleet trace assembly: one traced compile crosses three real recordd
-// processes — the client misses on the node it asked, which walks its
-// peers (one miss, one hit) to replicate the artifact — and every hop
-// records spans under the client's single trace ID.  cmd/tracefuse's
-// library then joins the four span rings (client + three nodes) into one
-// Chrome trace with a pid lane per process.
+// Fleet trace assembly: one traced compile crosses real recordd processes
+// through rclient.Fleet failover — the model's ring owner fails its first
+// request (an armed worker-spawn fault, 500), the client fails over to the
+// next replica, which recomputes — and every hop records spans under the
+// client's single trace ID.  cmd/tracefuse's library then joins the span
+// rings (client + nodes) into one Chrome trace with a pid lane per process.
 //
 // Runs under the fleet chaos harness's child re-exec; `go test -short`
 // skips it.
@@ -13,7 +13,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"testing"
 
 	"repro/internal/artifact"
@@ -28,81 +27,49 @@ import (
 func TestFleetChaosTraceAssembly(t *testing.T) {
 	skipChaos(t)
 
-	addrs := freeAddrs(t, 3)
-	urls := make([]string, 3)
-	for i, a := range addrs {
-		urls[i] = "http://" + a
-	}
-	nodes := make([]*fleetNode, 3)
-	for i := range nodes {
-		var peers []string
-		for j, u := range urls {
-			if j != i {
-				peers = append(peers, u)
-			}
-		}
-		nodes[i] = &fleetNode{
-			id:       fmt.Sprintf("n%d", i+1),
-			addr:     addrs[i],
-			url:      urls[i],
-			cacheDir: t.TempDir(),
-			peers:    peers,
-		}
-		nodes[i].start(t)
-	}
-	byURL := make(map[string]*fleetNode, 3)
-	for _, n := range nodes {
-		byURL[n.url] = n
-	}
-
-	// The artifact key is computable without retargeting, so the test can
-	// stage the topology it needs: plant the artifact on the node with the
-	// LOWEST rendezvous rank for the key.  Whichever node then compiles,
-	// its peer walk asks the higher-ranked peer first (miss) before
-	// hitting the planted copy — so the one compile touches every node.
+	// The key is computable without retargeting, and the client's ring
+	// is a pure function of the URLs, so the test knows the failover
+	// order before any node starts: the owner gets the fault.
 	src, ok := models.Get("demo")
 	if !ok {
 		t.Fatal("bundled model demo missing")
 	}
 	key := artifact.Key(src, core.RetargetOptions{})
-	order := fleet.Rendezvous(key, urls, 3)
-	planted, missPeer, compileOn := byURL[order[2]], byURL[order[1]], byURL[order[0]]
-	t.Logf("artifact %.12s…: planted on %s, compiling on %s (peer walk: %s then %s)",
-		key, planted.id, compileOn.id, missPeer.id, planted.id)
-
-	ctx := context.Background()
-	rt, err := rclient.NewClient(planted.url).Retarget(ctx, rclient.ModelRef{ModelName: "demo"})
-	if err != nil {
-		t.Fatalf("planting retarget on %s: %v", planted.id, err)
-	}
-	if rt.Key != key {
-		t.Fatalf("server key %s differs from client-side key %s", rt.Key, key)
-	}
+	var order []string
+	nodes, urls := startFleet(t, func(urls []string, i int) []string {
+		order = fleet.NewRing(fleet.DefaultVirtualNodes, urls...).Successors(key, 2)
+		if urls[i] == order[0] {
+			// Fires once: the first request on the owner fails with 500.
+			return []string{"-faultpoints", "recordd.worker.spawn=error"}
+		}
+		return nil
+	})
+	t.Logf("model %.12s…: first leg fails on %s, fails over to %s", key, order[0], order[1])
 
 	// The traced compile: a client-side root span rides the context into
-	// rclient, which ships the trace in X-Record-Trace.
+	// the fleet client, whose every leg ships the trace in X-Record-Trace.
+	ctx := context.Background()
 	tracer := obs.NewTracer()
 	root, scope := obs.NewScope(obs.NewRegistry(), tracer).Start("record.run")
-	res, err := rclient.NewClient(compileOn.url).Compile(
-		obs.ContextWithScope(ctx, scope),
-		rclient.ModelRef{Key: key}, "int a = 2; int b = 3; int y; y = a + b;",
+	res, err := newChaosFleet(t, urls).Compile(obs.ContextWithScope(ctx, scope),
+		rclient.ModelRef{ModelName: "demo"}, "int a = 2; int b = 3; int y; y = a + b;",
 		rclient.CompileOptions{})
 	if err != nil {
-		t.Fatalf("traced compile on %s: %v", compileOn.id, err)
+		t.Fatalf("traced compile: %v", err)
 	}
 	tid := root.Context().Trace.String()
 	root.End()
-	if res.Cache != "hit-peer" {
-		t.Fatalf("compile outcome %q, want hit-peer", res.Cache)
+	if res.Cache != "miss" {
+		t.Fatalf("compile outcome %q, want miss (recomputed on the failover node)", res.Cache)
 	}
 	if res.Trace != tid {
 		t.Fatalf("response echoed trace %q, want the client root %q", res.Trace, tid)
 	}
 
-	// Every process holds a piece of the same trace: the client ring plus
-	// all three node rings fetched over /v1/debug/spans.
+	// Every process on the path holds a piece of the same trace: the
+	// client ring plus both legs' node rings fetched over /v1/debug/spans.
 	dumps := []obs.SpanDump{tracer.Dump("client")}
-	fetched, err := tracefuse.Fetch(ctx, nil, urls)
+	fetched, err := tracefuse.Fetch(ctx, nil, order)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,12 +120,18 @@ func TestFleetChaosTraceAssembly(t *testing.T) {
 		}
 		spansByPid[ev.Pid]++
 	}
-	for _, want := range []string{"client", "n1", "n2", "n3"} {
-		if !lanes[want] {
-			t.Errorf("fused trace lacks a pid lane for %s (lanes: %v)", want, lanes)
+	want := []string{"client"}
+	for _, n := range nodes {
+		if n.url == order[0] || n.url == order[1] {
+			want = append(want, n.id)
 		}
 	}
-	if len(spansByPid) != 4 {
-		t.Errorf("spans landed in %d pid lanes, want 4: %v", len(spansByPid), spansByPid)
+	for _, w := range want {
+		if !lanes[w] {
+			t.Errorf("fused trace lacks a pid lane for %s (lanes: %v)", w, lanes)
+		}
+	}
+	if len(spansByPid) != len(want) {
+		t.Errorf("spans landed in %d pid lanes, want %d: %v", len(spansByPid), len(want), spansByPid)
 	}
 }

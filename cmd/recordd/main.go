@@ -1,9 +1,10 @@
 // Command recordd is the long-running compile service over the retargetable
-// compiler: the expensive retarget step (ISE → template extension → tree
-// grammar → BURS tables) runs at most once per processor model and is kept
-// as a content-addressed artifact in a two-tier cache (internal/rcache);
-// compile requests against a cached model pay only code selection,
-// compaction and encoding.
+// compiler: the retarget step (ISE → template extension → tree grammar →
+// BURS tables) runs once per processor model while the model stays in a
+// content-addressed memory LRU (internal/rcache); compile requests
+// against a cached model pay only code selection, compaction and
+// encoding.  A node is a stateless shard: on a miss it recomputes, and
+// the fleet client (internal/rclient) routes each model to one node.
 //
 // Endpoints:
 //
@@ -15,35 +16,17 @@
 //	GET  /healthz      liveness; 503 {"draining": true} during shutdown;
 //	                   includes the node identity ("node")
 //	GET  /metrics      cache counters, in-flight compiles, per-phase latency
-//	GET  /v1/artifact/{key}  encoded artifact bytes for fleet peers; 404
-//	                   when the key is not in the local disk store
-//	PUT  /v1/artifact/{key}  anti-entropy push from a fleet peer; the body
-//	                   is decode-verified against the content address, 503
-//	                   + Retry-After while the disk tier is degraded
-//	GET  /v1/inventory paginated artifact-key listing + set digest, for
-//	                   the peers' anti-entropy inventory exchange
 //
 // Flags:
 //
 //	-addr host:port    listen address (default :8347)
 //	-node-id id        fleet node identity in /healthz and metrics
 //	                   (default: the bound listen address)
-//	-peers urls        comma-separated base URLs of the other fleet nodes;
-//	                   on a local cache miss the artifact is fetched from
-//	                   the key's rendezvous peer before retargeting
-//	-advertise url     this node's own base URL as the peers dial it; names
-//	                   the node on the consistent-hash ring so all nodes
-//	                   compute the same ownership (required for anti-entropy)
-//	-scrub-interval d  background disk-scrub cycle interval (0 = off);
-//	                   corrupt artifacts are quarantined and peer-repaired
-//	-scrub-rate f      scrub pacing in artifacts verified per second
-//	-anti-entropy-interval d  push-replication sweep interval (0 = off)
-//	-replicate n       desired durable copies per owned artifact (default 2)
 //	-debug-addr h:p    profiling listener: net/http/pprof plus /metrics
 //	                   (default off; keep it off the public address)
-//	-cache-dir dir     artifact store directory (default: memory-only)
 //	-cache-size n      in-memory target LRU capacity
 //	-workers n         bounded worker pool for retarget/compile work
+//	                   (default: one per CPU)
 //	-timeout d         per-request wall-clock budget (0 = unlimited)
 //	-max-bdd-nodes n   per-request BDD universe cap (0 = unlimited)
 //	-max-routes n      per-request route enumeration cap (0 = default)
@@ -62,7 +45,7 @@
 //	-trace-spans n     request-tracer span ring bound; overwritten spans
 //	                   count in record_obs_spans_dropped_total
 //	-slo-targets spec  per-route latency objectives,
-//	                   "compile=500ms,retarget=60s,batch=10s,artifact=100ms"
+//	                   "compile=500ms,retarget=60s,batch=10s"
 //	-slo-availability f  good-event fraction objective (default 0.999)
 //	-slo-fast-window d   fast burn-rate window (default 1m)
 //	-slo-slow-window d   slow burn-rate window (default 10m)
@@ -72,7 +55,7 @@
 //
 // On SIGTERM/SIGINT the daemon drains: /healthz flips to 503, new work is
 // refused with explicit statuses, in-flight requests get -drain-timeout to
-// finish, and the artifact cache directory is flushed before exit.
+// finish.
 package main
 
 import (
@@ -89,7 +72,6 @@ import (
 	"time"
 
 	"repro/internal/faultpoint"
-	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/qos"
 )
@@ -100,13 +82,11 @@ func main() {
 		debugAddr = flag.String("debug-addr", "", "profiling listener (pprof + /metrics); empty = disabled")
 		drain     = flag.Duration("drain-timeout", 15*time.Second, "grace for in-flight requests on SIGTERM/SIGINT")
 		faults    = flag.String("faultpoints", "", "arm fault-injection points: name[@match]=kind[:arg][*times],...")
-		peers     = flag.String("peers", "", "comma-separated base URLs of the other fleet nodes (enables peer artifact replication)")
 		cfg       serverConfig
 	)
 	flag.StringVar(&cfg.nodeID, "node-id", "", "fleet node identity in /healthz and metrics (default: the listen address)")
-	flag.StringVar(&cfg.cacheDir, "cache-dir", "", "artifact store directory (empty = memory-only)")
 	flag.IntVar(&cfg.cacheSize, "cache-size", 16, "in-memory target LRU capacity")
-	flag.IntVar(&cfg.workers, "workers", 4, "bounded worker pool size")
+	flag.IntVar(&cfg.workers, "workers", 0, "bounded worker pool size (0 = one per CPU)")
 	flag.DurationVar(&cfg.timeout, "timeout", 2*time.Minute, "per-request wall-clock budget (0 = unlimited)")
 	flag.IntVar(&cfg.maxBDDNodes, "max-bdd-nodes", 0, "per-request BDD universe cap (0 = unlimited)")
 	flag.IntVar(&cfg.maxRoutes, "max-routes", 0, "per-request route enumeration cap (0 = default)")
@@ -117,11 +97,6 @@ func main() {
 	flag.IntVar(&cfg.brkWindow, "breaker-window", 8, "per-model circuit-breaker outcome window (0 = breaker off)")
 	flag.Float64Var(&cfg.brkRate, "breaker-rate", 0.5, "failure rate that opens a model's circuit")
 	flag.DurationVar(&cfg.brkCooldown, "breaker-cooldown", 10*time.Second, "circuit open -> half-open probe cooldown")
-	flag.StringVar(&cfg.advertise, "advertise", "", "this node's own base URL as peers dial it (ring member name; default: -node-id)")
-	flag.DurationVar(&cfg.scrubInterval, "scrub-interval", 0, "disk-scrub cycle interval (0 = off)")
-	flag.Float64Var(&cfg.scrubRate, "scrub-rate", 0, "disk-scrub pacing in artifacts/sec (0 = default)")
-	flag.DurationVar(&cfg.aeInterval, "anti-entropy-interval", 0, "anti-entropy replication sweep interval (0 = off)")
-	flag.IntVar(&cfg.replicate, "replicate", 2, "desired durable copies per owned artifact, self included")
 	flag.IntVar(&cfg.traceSpans, "trace-spans", 4096, "request-tracer span ring bound")
 	sloTargets := flag.String("slo-targets", "", `per-route latency objectives, e.g. "compile=500ms,retarget=60s"`)
 	flag.Float64Var(&cfg.sloAvailability, "slo-availability", 0, "SLO good-event fraction objective (0 = 0.999)")
@@ -155,12 +130,6 @@ func main() {
 		cfg.qosWeights = w
 	}
 
-	for _, p := range strings.Split(*peers, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			cfg.peers = append(cfg.peers, p)
-		}
-	}
-
 	// Listen before building the server so an unset -node-id can default
 	// to the concrete bound address (":8347" resolves to host:port here).
 	ln, err := net.Listen("tcp", *addr)
@@ -185,52 +154,14 @@ func main() {
 		}()
 		fmt.Printf("recordd debug listener on %s (pprof + /metrics)\n", *debugAddr)
 	}
-	fmt.Printf("recordd %s listening on %s (workers=%d, cache-dir=%q, peers=%d)\n",
-		s.cfg.nodeID, ln.Addr(), s.cfg.workers, s.cfg.cacheDir, len(s.cfg.peers))
+	fmt.Printf("recordd %s listening on %s (workers=%d)\n", s.cfg.nodeID, ln.Addr(), s.cfg.workers)
 
-	// Probe peers in the background so a dead peer is excluded from
-	// artifact fetches (and a revived one rejoins) without waiting for a
-	// cache miss to discover it.
-	proberCtx, stopProber := context.WithCancel(context.Background())
-	defer stopProber()
+	ctx, stop := context.WithCancel(context.Background())
+	defer stop()
 	if s.cfg.prewarmEvery > 0 {
-		go s.prewarmLoop(proberCtx)
+		go s.prewarmLoop(ctx)
 		fmt.Printf("recordd pre-warm every %v (top %d hot models)\n", s.cfg.prewarmEvery, s.cfg.prewarmTop)
 	}
-	if s.cfg.scrubInterval > 0 && s.cfg.cacheDir != "" {
-		go s.scrubLoop(proberCtx)
-		fmt.Printf("recordd disk scrub every %v\n", s.cfg.scrubInterval)
-	}
-	if s.ae != nil {
-		go s.antiEntropyLoop(proberCtx)
-		fmt.Printf("recordd anti-entropy every %v (replicate=%d)\n", s.cfg.aeInterval, s.cfg.replicate)
-	}
-	if len(s.cfg.peers) > 0 {
-		p := &fleet.Prober{
-			Tracker:   s.peerHealth,
-			Endpoints: s.cfg.peers,
-			Check: func(ctx context.Context, ep string) error {
-				ctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-				defer cancel()
-				req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-					strings.TrimRight(ep, "/")+"/healthz", nil)
-				if err != nil {
-					return err
-				}
-				resp, err := s.peerHTTP.Do(req)
-				if err != nil {
-					return err
-				}
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					return fmt.Errorf("peer %s: status %d", ep, resp.StatusCode)
-				}
-				return nil
-			},
-		}
-		go p.Run(proberCtx)
-	}
-
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)
 	if err := serve(ln, s, *drain, sigs, os.Stderr); err != nil {
@@ -264,9 +195,8 @@ func parseSLOTargets(spec string) (map[string]time.Duration, error) {
 
 // serve runs the HTTP service on ln until a signal arrives on sigs, then
 // drains gracefully: the server flips into refusal mode (queued waiters
-// shed with 503, /healthz reports draining), in-flight requests get
-// drainTimeout to finish, and the cache directory is flushed before
-// returning.  Factored out of main so the chaos harness can exercise the
+// shed with 503, /healthz reports draining) and in-flight requests get
+// drainTimeout to finish.  Factored out of main so the chaos harness can exercise the
 // full drain sequence in-process.
 func serve(ln net.Listener, s *server, drainTimeout time.Duration, sigs <-chan os.Signal, logw io.Writer) error {
 	srv := &http.Server{Handler: s.handler()}
@@ -294,9 +224,6 @@ func serve(ln net.Listener, s *server, drainTimeout time.Duration, sigs <-chan o
 	if err := srv.Shutdown(ctx); err != nil {
 		fmt.Fprintf(logw, "recordd: drain timeout exceeded, closing: %v\n", err)
 		srv.Close()
-	}
-	if err := s.cache.Close(); err != nil {
-		fmt.Fprintf(logw, "recordd: cache flush: %v\n", err)
 	}
 	for err := range errc {
 		if err != nil {

@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/faultpoint"
+	"repro/internal/models"
 	"repro/internal/qos"
 )
 
@@ -56,7 +58,7 @@ func waitCond(t *testing.T, what string, cond func() bool) {
 // queued batch work and complete, and every shed must land on the batch
 // class — zero interactive requests refused.
 func TestQoSMixedPriorityStorm(t *testing.T) {
-	s, ts := newTestServer(t, serverConfig{workers: 1, maxQueue: 4, cacheDir: t.TempDir()})
+	s, ts := newTestServer(t, serverConfig{workers: 1, maxQueue: 4})
 
 	// Warm the cache so no queued request needs a retarget.
 	if code, raw := post(t, ts.URL+"/v1/retarget", map[string]string{"model_name": "demo"}, nil); code != http.StatusOK {
@@ -147,7 +149,7 @@ func TestQoSMixedPriorityStorm(t *testing.T) {
 // identical compiles queued at once cost exactly one underlying
 // execution, and every caller receives byte-identical bytes.
 func TestQoSCompileCoalescing(t *testing.T) {
-	s, ts := newTestServer(t, serverConfig{workers: 1, cacheDir: t.TempDir()})
+	s, ts := newTestServer(t, serverConfig{workers: 1})
 	if code, raw := post(t, ts.URL+"/v1/retarget", map[string]string{"model_name": "demo"}, nil); code != http.StatusOK {
 		t.Fatalf("warm retarget: %d %s", code, raw)
 	}
@@ -212,7 +214,7 @@ func TestQoSCompileCoalescing(t *testing.T) {
 // X-Record-Priority, the request is served — garbage degrades to the
 // route default, it can never become an error.
 func TestQoSPriorityHeaderGarbage(t *testing.T) {
-	s, ts := newTestServer(t, serverConfig{cacheDir: t.TempDir()})
+	s, ts := newTestServer(t, serverConfig{})
 	if code, raw := post(t, ts.URL+"/v1/retarget", map[string]string{"model_name": "demo"}, nil); code != http.StatusOK {
 		t.Fatalf("warm retarget: %d %s", code, raw)
 	}
@@ -243,37 +245,39 @@ func TestQoSPriorityHeaderGarbage(t *testing.T) {
 	}
 }
 
+// demoKey returns the bundled demo model's source and content address.
+func demoKey(t *testing.T, s *server) (string, string) {
+	t.Helper()
+	src, ok := models.Get("demo")
+	if !ok {
+		t.Fatal("bundled model demo missing")
+	}
+	return src, s.cache.Key(src, core.RetargetOptions{})
+}
+
 // TestQoSPrewarmServesFromMemory is the pre-warm acceptance test: a hot
-// model pre-warmed from the disk store serves its first external request
-// from the memory tier, with the pre-warm work attributed to its own
-// counters so the serving hit-rate is not inflated.
+// model that is not in memory is retargeted from its source by a sweep,
+// serves its first external request from the memory tier, and the
+// pre-warm work is attributed to its own counters so the serving
+// hit-rate is not inflated.
 func TestQoSPrewarmServesFromMemory(t *testing.T) {
-	dir := t.TempDir()
-
-	// Seed the shared disk store with one retargeted model.
-	_, seed := newTestServer(t, serverConfig{cacheDir: dir})
-	var rt retargetResponse
-	if code, raw := post(t, seed.URL+"/v1/retarget", map[string]string{"model_name": "demo"}, &rt); code != http.StatusOK {
-		t.Fatalf("seed retarget: %d %s", code, raw)
+	s, ts := newTestServer(t, serverConfig{prewarmEvery: time.Hour})
+	src, key := demoKey(t, s)
+	if s.cache.InMemory(key) {
+		t.Fatal("fresh instance claims the model in memory")
 	}
-
-	// Fresh instance: cold memory, warm disk, pre-warm enabled.
-	s, ts := newTestServer(t, serverConfig{cacheDir: dir, prewarmEvery: time.Hour})
-	if s.cache.InMemory(rt.Key) {
-		t.Fatal("fresh instance claims the artifact in memory")
-	}
-	s.pop.Touch(rt.Key, "")
+	s.pop.Touch(key, src)
 	if n := s.prewarmer.Sweep(context.Background()); n != 1 {
 		t.Fatalf("sweep warmed %d models, want 1", n)
 	}
-	if !s.cache.InMemory(rt.Key) {
-		t.Fatal("sweep did not land the artifact in memory")
+	if !s.cache.InMemory(key) {
+		t.Fatal("sweep did not land the model in memory")
 	}
 
 	// The first external request is a memory hit.
 	var cp compileResponse
 	code, raw := post(t, ts.URL+"/v1/compile", map[string]interface{}{
-		"key": rt.Key, "source": "int a = 2; int y; y = a + 1;",
+		"key": key, "source": "int a = 2; int y; y = a + 1;",
 	}, &cp)
 	if code != http.StatusOK {
 		t.Fatalf("post-prewarm compile: %d %s", code, raw)
@@ -284,15 +288,15 @@ func TestQoSPrewarmServesFromMemory(t *testing.T) {
 
 	// Attribution: the pre-warm shows up only in its own counters.
 	st := s.cache.Stats()
-	if st.PrewarmLoads != 1 {
-		t.Fatalf("prewarm loads = %d, want 1 (%+v)", st.PrewarmLoads, st)
+	if st.PrewarmLoads != 1 || st.PrewarmRetargets != 1 {
+		t.Fatalf("prewarm loads/retargets = %d/%d, want 1/1 (%+v)", st.PrewarmLoads, st.PrewarmRetargets, st)
 	}
-	if st.MemHits != 1 || st.DiskHits != 0 || st.Misses != 0 || st.Retargets != 0 {
+	if st.MemHits != 1 || st.Misses != 0 || st.Retargets != 0 {
 		t.Fatalf("serving stats inflated by prewarm: %+v", st)
 	}
 	body := scrapeMetrics(t, ts.URL)
 	for _, want := range []string{
-		`record_rcache_prewarm_total{outcome="hit-disk"} 1`,
+		`record_rcache_prewarm_total{outcome="retargeted"} 1`,
 		`record_rcache_hits_total{tier="mem"} 1`,
 	} {
 		if !strings.Contains(body, want) {
@@ -306,21 +310,15 @@ func TestQoSPrewarmServesFromMemory(t *testing.T) {
 // next sweep succeeds — pre-warm failures never escalate.
 func TestQoSPrewarmFaultpoint(t *testing.T) {
 	defer faultpoint.Reset()
-	dir := t.TempDir()
-	_, seed := newTestServer(t, serverConfig{cacheDir: dir})
-	var rt retargetResponse
-	if code, raw := post(t, seed.URL+"/v1/retarget", map[string]string{"model_name": "demo"}, &rt); code != http.StatusOK {
-		t.Fatalf("seed retarget: %d %s", code, raw)
-	}
-
-	s, _ := newTestServer(t, serverConfig{cacheDir: dir, prewarmEvery: time.Hour})
-	s.pop.Touch(rt.Key, "")
+	s, _ := newTestServer(t, serverConfig{prewarmEvery: time.Hour})
+	src, key := demoKey(t, s)
+	s.pop.Touch(key, src)
 	faultpoint.Arm("recordd.prewarm.retarget", faultpoint.Action{Kind: faultpoint.KindError})
 	if n := s.prewarmer.Sweep(context.Background()); n != 0 {
 		t.Fatalf("faulted sweep warmed %d models, want 0", n)
 	}
-	if s.cache.InMemory(rt.Key) {
-		t.Fatal("faulted sweep warmed the artifact anyway")
+	if s.cache.InMemory(key) {
+		t.Fatal("faulted sweep warmed the model anyway")
 	}
 	if _, _, _, errs := s.prewarmer.Stats(); errs != 1 {
 		t.Fatalf("sweep errors = %d, want 1", errs)
@@ -329,8 +327,8 @@ func TestQoSPrewarmFaultpoint(t *testing.T) {
 	if n := s.prewarmer.Sweep(context.Background()); n != 1 {
 		t.Fatalf("post-fault sweep warmed %d models, want 1", n)
 	}
-	if !s.cache.InMemory(rt.Key) {
-		t.Fatal("post-fault sweep did not warm the artifact")
+	if !s.cache.InMemory(key) {
+		t.Fatal("post-fault sweep did not warm the model")
 	}
 }
 

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
@@ -9,17 +8,15 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/antientropy"
 	"repro/internal/core"
 	"repro/internal/diag"
 	"repro/internal/faultpoint"
-	"repro/internal/fleet"
 	"repro/internal/models"
 	"repro/internal/obs"
 	"repro/internal/qos"
@@ -29,9 +26,8 @@ import (
 
 // serverConfig tunes one daemon instance.
 type serverConfig struct {
-	cacheDir    string
 	cacheSize   int
-	workers     int           // bounded worker pool for retarget/compile work
+	workers     int           // bounded worker pool for retarget/compile work (0 = NumCPU)
 	timeout     time.Duration // per-request wall-clock budget (0 = unlimited)
 	maxBDDNodes int           // per-request BDD node cap (0 = unlimited)
 	maxRoutes   int           // per-request route cap (0 = phase default)
@@ -46,15 +42,7 @@ type serverConfig struct {
 	prewarmEvery time.Duration       // speculative pre-warm sweep interval (0 = off)
 	prewarmTop   int                 // hot models considered per sweep
 
-	nodeID      string        // fleet identity: /healthz field + node metric label
-	advertise   string        // this node's own base URL, for ring membership ("" = nodeID)
-	peers       []string      // base URLs of fleet peers to fetch artifacts from
-	peerTimeout time.Duration // per-peer artifact fetch budget
-
-	scrubInterval time.Duration // disk-scrub cycle interval (0 = off)
-	scrubRate     float64       // scrub pacing, artifacts/sec (0 = rcache default)
-	aeInterval    time.Duration // anti-entropy sweep interval (0 = off)
-	replicate     int           // desired durable copies per owned key (0 = default 2)
+	nodeID string // fleet identity: /healthz field + node metric label
 
 	traceSpans int // span-ring bound for the request tracer (0 = default)
 
@@ -68,19 +56,18 @@ type serverConfig struct {
 
 // defaultSLOTargets are the per-route latency objectives: a compile
 // should be interactive, a retarget may legitimately run the full
-// pipeline, artifact serves are a disk read.
+// pipeline.
 func defaultSLOTargets() map[string]time.Duration {
 	return map[string]time.Duration{
 		"retarget": 60 * time.Second,
 		"compile":  500 * time.Millisecond,
 		"batch":    10 * time.Second,
-		"artifact": 100 * time.Millisecond,
 	}
 }
 
 func (c serverConfig) withDefaults() serverConfig {
 	if c.workers <= 0 {
-		c.workers = 4
+		c.workers = runtime.NumCPU()
 	}
 	if c.cacheSize <= 0 {
 		c.cacheSize = rcache.DefaultMaxEntries
@@ -91,14 +78,8 @@ func (c serverConfig) withDefaults() serverConfig {
 	if c.nodeID == "" {
 		c.nodeID = "recordd"
 	}
-	if c.peerTimeout <= 0 {
-		c.peerTimeout = 2 * time.Second
-	}
 	if c.prewarmTop <= 0 {
 		c.prewarmTop = 4
-	}
-	if c.replicate <= 0 {
-		c.replicate = 2
 	}
 	if c.traceSpans <= 0 {
 		c.traceSpans = 4096
@@ -115,9 +96,9 @@ func (c serverConfig) withDefaults() serverConfig {
 	return c
 }
 
-// server is the recordd HTTP service: a retarget-artifact cache behind
-// /v1/retarget, /v1/compile and /v1/compile-batch, with health and
-// metrics endpoints.  Targets are frozen, so compiles against one entry
+// server is the recordd HTTP service: a memory cache of retargeted
+// models behind /v1/retarget, /v1/compile and /v1/compile-batch, with
+// health and metrics endpoints.  Targets are frozen, so compiles against one entry
 // run genuinely in parallel — the worker pool bounds CPU, not correctness.
 //
 // The service protects itself (internal/resilience + internal/qos): the
@@ -168,20 +149,6 @@ type server struct {
 	cErrors       *obs.CounterVec // error responses, by status
 	cAborts       *obs.Counter    // client disconnects before a response
 
-	ring     *fleet.Ring   // fleet membership, for rebalancing gauges
-	gRingKey *obs.GaugeVec // disk-store keys owned, by ring member
-
-	// Fleet state: peer health drives which ring peer a cache miss
-	// consults first; peerHTTP is the transport for artifact fetches.
-	peerHealth *fleet.Tracker
-	peerHTTP   *http.Client
-
-	cPeerFetch      *obs.CounterVec // by node, peer, outcome: hit | miss | error
-	cArtifactServes *obs.CounterVec // by node, outcome: hit | miss
-	cArtifactPushes *obs.CounterVec // by node, outcome: ok | degraded | rejected
-
-	ae *antientropy.Agent // push replication; nil when peers or interval are unset
-
 	// targMu serializes the zero-check-then-delete on gTargInflight so a
 	// concurrent Inc cannot land between Dec and Delete.
 	targMu sync.Mutex
@@ -191,16 +158,9 @@ func newServer(cfg serverConfig) (*server, error) {
 	cfg = cfg.withDefaults()
 	reg := obs.NewRegistry()
 	scp := obs.NewScope(reg, nil)
-	// The cache's peer hook closes over the server being built: peer
-	// fetches only run while serving requests, well after s is assigned.
-	var s *server
-	copts := rcache.Options{Dir: cfg.cacheDir, MaxEntries: cfg.cacheSize, Obs: scp, ScrubRate: cfg.scrubRate}
-	if len(cfg.peers) > 0 {
-		copts.PeerFetch = func(ctx context.Context, key string) ([]byte, error) {
-			return s.peerFetch(ctx, key)
-		}
-	}
-	cache, err := rcache.New(copts)
+	// Memory only: a retarget is a pure function of (model, options), so
+	// a miss recomputes — cheaper than decoding a stored artifact.
+	cache, err := rcache.New(rcache.Options{MaxEntries: cfg.cacheSize, Obs: scp})
 	if err != nil {
 		return nil, err
 	}
@@ -208,7 +168,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		obs.WithMaxSpans(cfg.traceSpans),
 		obs.WithDropCounter(reg.Counter("record_obs_spans_dropped_total",
 			"spans overwritten past the tracer ring bound")))
-	s = &server{
+	s := &server{
 		cfg:     cfg,
 		cache:   cache,
 		coal:    &qos.Coalescer{},
@@ -248,14 +208,6 @@ func newServer(cfg serverConfig) (*server, error) {
 			"error responses, by HTTP status", "status"),
 		cAborts: reg.Counter("record_recordd_client_aborts_total",
 			"requests whose client disconnected before a response (499-style)"),
-		peerHealth: fleet.NewTracker(fleet.TrackerConfig{}),
-		peerHTTP:   &http.Client{Timeout: 30 * time.Second},
-		cPeerFetch: reg.CounterVec("record_recordd_peer_fetch_total",
-			"peer artifact fetch attempts, by node, peer and outcome", "node", "peer", "outcome"),
-		cArtifactServes: reg.CounterVec("record_recordd_artifact_serves_total",
-			"artifact store lookups served to fleet peers, by node and outcome", "node", "outcome"),
-		cArtifactPushes: reg.CounterVec("record_recordd_artifact_pushes_total",
-			"anti-entropy artifact pushes received, by node and outcome", "node", "outcome"),
 	}
 	s.sched = qos.NewScheduler(qos.Config{
 		Capacity: cfg.workers,
@@ -283,24 +235,6 @@ func newServer(cfg serverConfig) (*server, error) {
 	}
 	reg.GaugeVec("record_recordd_node_info",
 		"static node identity; always 1", "node").With(cfg.nodeID).Set(1)
-	if len(cfg.peers) > 0 {
-		// Ring members are named by the node's advertised base URL when one
-		// is configured: every fleet node then builds the ring over the same
-		// member strings (its own URL + its peers' URLs), so ownership and
-		// successor order agree fleet-wide — the invariant anti-entropy
-		// pushes rely on.  Without -advertise the member name degrades to
-		// the nodeID, which keeps single-view uses (rebalancing gauges)
-		// working but makes cross-node ownership views disagree.
-		members := append([]string{s.self()}, cfg.peers...)
-		s.ring = fleet.NewRing(0, members...)
-		gArc := reg.GaugeVec("record_recordd_ring_arc_ppm",
-			"consistent-hash arc share per fleet member, parts per million", "member")
-		for member, frac := range s.ring.Arcs() {
-			gArc.With(member).Set(int64(frac * 1e6))
-		}
-		s.gRingKey = reg.GaugeVec("record_recordd_ring_owned_keys",
-			"local disk-store artifacts owned by each ring member", "member")
-	}
 	if cfg.brkWindow > 0 {
 		s.brk = resilience.NewBreaker(resilience.BreakerConfig{
 			Window:      cfg.brkWindow,
@@ -312,31 +246,7 @@ func newServer(cfg serverConfig) (*server, error) {
 	}
 	reg.Gauge("record_recordd_worker_pool_size",
 		"configured worker pool capacity").Set(int64(cfg.workers))
-	if len(cfg.peers) > 0 && cfg.aeInterval > 0 {
-		s.ae = antientropy.New(antientropy.Config{
-			Self:        s.self(),
-			Peers:       cfg.peers,
-			Ring:        s.ring,
-			Replicate:   cfg.replicate,
-			Keys:        s.cache.Keys,
-			Encoded:     s.cache.Encoded,
-			FetchDigest: s.inventoryDigestFrom,
-			FetchKeys:   s.inventoryKeysFrom,
-			Push:        s.pushTo,
-			Healthy:     s.peerHealth.Usable,
-			Obs:         scp,
-		})
-	}
 	return s, nil
-}
-
-// self is this node's ring member name: its advertised base URL when one
-// is configured, else the bare nodeID.
-func (s *server) self() string {
-	if s.cfg.advertise != "" {
-		return strings.TrimRight(s.cfg.advertise, "/")
-	}
-	return s.cfg.nodeID
 }
 
 // prewarmOne is the Prewarmer's Warm hook: it loads one hot model into
@@ -385,20 +295,11 @@ func (s *server) handler() http.Handler {
 	mux.HandleFunc("/v1/retarget", s.traced("retarget", s.handleRetarget))
 	mux.HandleFunc("/v1/compile", s.traced("compile", s.handleCompile))
 	mux.HandleFunc("/v1/compile-batch", s.traced("batch", s.handleCompileBatch))
-	// GET serves artifacts to peers; PUT accepts anti-entropy pushes.
-	// Both stay drain-exempt (see the gate below): peers must be able to
-	// replicate artifacts off a draining node AND backfill replicas onto
-	// it — a drain is exactly when its copies are about to disappear.
-	mux.HandleFunc("/v1/artifact/", s.traced("artifact", s.handleArtifact))
-	// GET-only inventory listing for anti-entropy digest exchange;
-	// drain-exempt so peers can still see what a draining node holds.
-	mux.HandleFunc("/v1/inventory", s.traced("inventory", s.handleInventory))
-	// Drain-exempt like /v1/artifact (GET): the span ring must stay
+	// A GET like /healthz, so drain-exempt: the span ring must stay
 	// readable while a node drains, or a chaos trace loses its tail.
 	mux.HandleFunc("/v1/debug/spans", s.handleDebugSpans)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if s.draining.Load() && r.Method != http.MethodGet &&
-			!strings.HasPrefix(r.URL.Path, "/v1/artifact/") {
+		if s.draining.Load() && r.Method != http.MethodGet {
 			s.fail(w, r, http.StatusServiceUnavailable,
 				&resilience.DrainingError{After: time.Second})
 			return
@@ -433,7 +334,7 @@ func (sw *statusWriter) Write(b []byte) (int, error) {
 // span (parented under the caller's X-Record-Trace context when one
 // arrived), echoes the span's trace ID in the response header, threads a
 // request-scoped obs.Scope through the context for every layer below —
-// QoS wait, cache lookups, compile phases, peer fetches — and lands the
+// QoS wait, cache lookups, compile phases — and lands the
 // outcome in the SLO tracker.
 func (s *server) traced(route string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -619,12 +520,11 @@ func (s *server) resolveEntry(ctx context.Context, key string, m modelRequest) (
 		if m.Model != "" || m.ModelName != "" {
 			return nil, rcache.Miss, http.StatusBadRequest, fmt.Errorf("use either key or a model, not both")
 		}
-		// LookupContext consults fleet peers after the local tiers, so a
-		// by-key compile routed to a non-owner replicates the artifact
-		// instead of 404ing.  The lookup span parents any peer fetch the
-		// walk performs, keeping it on the caller's trace.
-		sp, lscope := s.obsFrom(ctx).Start("rcache.lookup", obs.KV("key", key))
-		entry, outcome, ok := s.cache.LookupContext(obs.ContextWithScope(ctx, lscope), key)
+		// By key the service can only look up, not recompute: a node that
+		// does not hold the entry answers 404 and the caller resends the
+		// model, which any node can retarget.
+		sp, _ := s.obsFrom(ctx).Start("rcache.lookup", obs.KV("key", key))
+		entry, outcome, ok := s.cache.Lookup(key)
 		sp.SetAttr("outcome", string(outcome))
 		sp.End()
 		if !ok {
@@ -685,7 +585,7 @@ type retargetResponse struct {
 	Name      string `json:"name"`
 	Templates int    `json:"templates"`
 	Rules     int    `json:"rules"`
-	Cache     string `json:"cache"` // hit | hit-disk | miss | coalesced
+	Cache     string `json:"cache"` // hit | miss | coalesced
 	Warnings  int    `json:"warnings,omitempty"`
 }
 
@@ -757,13 +657,12 @@ type compileBatchResponse struct {
 
 type errorResponse struct {
 	Error string `json:"error"`
-	Kind  string `json:"kind,omitempty"` // refusal class: "overload" | "open" | "draining" | "degraded"
+	Kind  string `json:"kind,omitempty"` // refusal class: "overload" | "open" | "draining"
 }
 
 // refusalKind classifies typed resilience refusals for the wire, so a
 // client can tell a draining node (fail over now, the hint is exact)
-// from overload or an open circuit (backing off harder is fine) from a
-// degraded disk tier (push or write elsewhere; reads still work here).
+// from overload or an open circuit (backing off harder is fine).
 func refusalKind(err error) string {
 	var ov *resilience.OverloadError
 	if errors.As(err, &ov) {
@@ -776,10 +675,6 @@ func refusalKind(err error) string {
 	var de *resilience.DrainingError
 	if errors.As(err, &de) {
 		return "draining"
-	}
-	var ge *resilience.DegradedError
-	if errors.As(err, &ge) {
-		return "degraded"
 	}
 	return ""
 }
@@ -804,278 +699,14 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
-// handleArtifact serves the encoded artifact for a content address to
-// fleet peers (GET) and accepts anti-entropy pushes from them (PUT): a
-// peer resolving a key its own cache misses fetches the bytes here
-// instead of re-running the retarget, and a peer that owns a key this
-// node should replicate pushes the bytes here.  Memory-only nodes (no
-// -cache-dir) answer 404 to GET and refuse PUT — peer replication runs
-// against the durable tier only.
-func (s *server) handleArtifact(w http.ResponseWriter, r *http.Request) {
-	key := strings.TrimPrefix(r.URL.Path, "/v1/artifact/")
-	switch r.Method {
-	case http.MethodGet:
-		data, err := s.cache.Encoded(key)
-		if err != nil {
-			s.cArtifactServes.With(s.cfg.nodeID, "miss").Inc()
-			s.fail(w, r, http.StatusNotFound, fmt.Errorf("no artifact for key %s", key))
-			return
-		}
-		s.cArtifactServes.With(s.cfg.nodeID, "hit").Inc()
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(data)
-	case http.MethodPut:
-		s.handleArtifactPush(w, r, key)
-	default:
-		s.fail(w, r, http.StatusMethodNotAllowed, fmt.Errorf("use GET or PUT"))
-	}
-}
-
-// handleArtifactPush lands one pushed artifact in the durable tier.
-// Ingest validates the key shape, decode-verifies the bytes against the
-// content address, refuses while the disk tier is degraded (typed 503 +
-// Retry-After, satisfying the invariant that an accepted push IS a
-// durable replica — never memory-only buffering), and treats an
-// already-present key as a successful no-op so repeated pushes are
-// idempotent.
-func (s *server) handleArtifactPush(w http.ResponseWriter, r *http.Request, key string) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 256<<20))
-	if err != nil {
-		s.cArtifactPushes.With(s.cfg.nodeID, "rejected").Inc()
-		s.fail(w, r, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
-		return
-	}
-	if err := s.cache.Ingest(key, body); err != nil {
-		var de *resilience.DegradedError
-		switch {
-		case errors.As(err, &de):
-			s.cArtifactPushes.With(s.cfg.nodeID, "degraded").Inc()
-			s.fail(w, r, http.StatusServiceUnavailable, err)
-		case errors.Is(err, rcache.ErrNoStore):
-			s.cArtifactPushes.With(s.cfg.nodeID, "rejected").Inc()
-			s.fail(w, r, http.StatusConflict, err)
-		default:
-			s.cArtifactPushes.With(s.cfg.nodeID, "rejected").Inc()
-			s.fail(w, r, http.StatusBadRequest, err)
-		}
-		return
-	}
-	s.cArtifactPushes.With(s.cfg.nodeID, "ok").Inc()
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// handleInventory serves this node's artifact-key inventory for the
-// anti-entropy digest exchange: ?limit=-1 returns the digest alone (the
-// cheap "did anything change" probe), otherwise one sorted page of keys
-// starting after ?after, each page carrying the full-set digest.
-func (s *server) handleInventory(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.fail(w, r, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
-		return
-	}
-	limit := 0
-	if v := r.URL.Query().Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < -1 {
-			s.fail(w, r, http.StatusBadRequest, fmt.Errorf("bad limit %q", v))
-			return
-		}
-		limit = n
-	}
-	after := r.URL.Query().Get("after")
-	writeJSON(w, http.StatusOK, antientropy.Page(s.self(), s.cache.Keys(), after, limit))
-}
-
-// peerFetch is the cache's PeerFetch hook, shared by miss-replication
-// and scrub repair: it walks fleet.RepairPeers' order — every healthy
-// peer, in the key's rendezvous order, self excluded, each exactly once
-// (so every node agrees which replica to ask first, and a repair only
-// gives up as unrepairable after every candidate was tried) — and
-// returns the first copy found.  (nil, nil) means no peer has one; the
-// cache then retargets locally.  Failures degrade the peer's health so
-// a dead peer stops being asked.
-func (s *server) peerFetch(ctx context.Context, key string) ([]byte, error) {
-	for _, peer := range fleet.RepairPeers(key, s.self(), s.cfg.peers, s.peerHealth.Usable) {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		sp, pscope := obs.ScopeFromContext(ctx).Start("peer.fetch", obs.KV("peer", peer))
-		data, err := s.fetchFrom(obs.ContextWithScope(ctx, pscope), peer, key)
-		switch {
-		case err != nil:
-			sp.SetAttr("outcome", "error")
-			s.peerHealth.Report(peer, false)
-			s.cPeerFetch.With(s.cfg.nodeID, peer, "error").Inc()
-		case data == nil: // peer alive, no copy
-			sp.SetAttr("outcome", "miss")
-			s.peerHealth.Report(peer, true)
-			s.cPeerFetch.With(s.cfg.nodeID, peer, "miss").Inc()
-		default:
-			sp.SetAttr("outcome", "hit")
-			sp.End()
-			s.peerHealth.Report(peer, true)
-			s.cPeerFetch.With(s.cfg.nodeID, peer, "hit").Inc()
-			return data, nil
-		}
-		sp.End()
-	}
-	return nil, nil
-}
-
-// fetchFrom performs one GET /v1/artifact/{key} against one peer under
-// the per-peer timeout.  (nil, nil) is the peer's 404.  The request
-// re-injects the active trace (X-Record-Trace) so the peer's artifact
-// serve records on the same trace as the compile that triggered it.
-func (s *server) fetchFrom(ctx context.Context, peer, key string) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, s.cfg.peerTimeout)
-	defer cancel()
-	url := strings.TrimRight(peer, "/") + "/v1/artifact/" + key
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	if sc := obs.ScopeFromContext(ctx).Span().Context(); sc.Valid() {
-		req.Header.Set(obs.TraceHeader, sc.Header())
-	}
-	resp, err := s.peerHTTP.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return io.ReadAll(io.LimitReader(resp.Body, 256<<20))
-	case http.StatusNotFound:
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("peer %s: status %d", peer, resp.StatusCode)
-	}
-}
-
-// inventoryDigestFrom is the anti-entropy agent's cheap probe: one
-// digest-only inventory page from a peer.
-func (s *server) inventoryDigestFrom(ctx context.Context, peer string) (string, error) {
-	inv, err := s.inventoryPage(ctx, peer, "", -1)
-	if err != nil {
-		return "", err
-	}
-	return inv.Digest, nil
-}
-
-// inventoryKeysFrom walks a peer's full paginated inventory.  A digest
-// change mid-walk means the set moved underneath us; the partial listing
-// is still returned — anti-entropy converges over repeated sweeps, so a
-// slightly stale view only defers work, never corrupts it.
-func (s *server) inventoryKeysFrom(ctx context.Context, peer string) (*antientropy.PeerInventory, error) {
-	out := &antientropy.PeerInventory{Keys: make(map[string]bool)}
-	after := ""
-	for {
-		inv, err := s.inventoryPage(ctx, peer, after, 0)
-		if err != nil {
-			return nil, err
-		}
-		out.Digest = inv.Digest
-		for _, k := range inv.Keys {
-			out.Keys[k] = true
-		}
-		if inv.Next == "" {
-			return out, nil
-		}
-		after = inv.Next
-	}
-}
-
-// inventoryPage performs one GET /v1/inventory against a peer under the
-// per-peer timeout.
-func (s *server) inventoryPage(ctx context.Context, peer, after string, limit int) (*antientropy.Inventory, error) {
-	ctx, cancel := context.WithTimeout(ctx, s.cfg.peerTimeout)
-	defer cancel()
-	u := strings.TrimRight(peer, "/") + "/v1/inventory?limit=" + strconv.Itoa(limit)
-	if after != "" {
-		u += "&after=" + after
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := s.peerHTTP.Do(req)
-	if err != nil {
-		s.peerHealth.Report(peer, false)
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		s.peerHealth.Report(peer, false)
-		return nil, fmt.Errorf("peer %s: inventory status %d", peer, resp.StatusCode)
-	}
-	s.peerHealth.Report(peer, true)
-	var inv antientropy.Inventory
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&inv); err != nil {
-		return nil, err
-	}
-	return &inv, nil
-}
-
-// pushTo uploads one encoded artifact to a peer (PUT /v1/artifact/{key}).
-// 204 and 200 both mean the replica is durable over there; anything else
-// — including a degraded-disk 503 — is an error the agent retries on a
-// later sweep, ideally after the peer recovers.
-func (s *server) pushTo(ctx context.Context, peer, key string, data []byte) error {
-	ctx, cancel := context.WithTimeout(ctx, s.cfg.peerTimeout)
-	defer cancel()
-	url := strings.TrimRight(peer, "/") + "/v1/artifact/" + key
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, url, bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := s.peerHTTP.Do(req)
-	if err != nil {
-		s.peerHealth.Report(peer, false)
-		return err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusNoContent, http.StatusOK:
-		s.peerHealth.Report(peer, true)
-		return nil
-	default:
-		// The peer answered: it is alive, just unwilling (degraded disk,
-		// memory-only, malformed push).  Do not poison its health — reads
-		// may still work fine.
-		return fmt.Errorf("peer %s: push status %d", peer, resp.StatusCode)
-	}
-}
-
-// scrubLoop drives disk-scrub cycles until ctx ends or the drain starts.
-func (s *server) scrubLoop(ctx context.Context) {
-	s.cache.RunScrubber(ctx, s.cfg.scrubInterval, s.drainCh)
-}
-
-// antiEntropyLoop drives push-replication sweeps until ctx ends or the
-// drain starts (a draining node stops pushing; its artifact endpoints
-// stay drain-exempt so peers can still pull from and backfill to it).
-func (s *server) antiEntropyLoop(ctx context.Context) {
-	if s.ae == nil {
-		return
-	}
-	s.ae.Run(ctx, s.cfg.aeInterval, s.drainCh)
-}
-
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		s.fail(w, r, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
 		return
 	}
-	// Burn rates and ring ownership are point-in-time quantities, so
-	// their gauges refresh at scrape time rather than per request.
+	// Burn rates are point-in-time quantities, so their gauges refresh
+	// at scrape time rather than per request.
 	s.slo.Refresh()
-	if s.ring != nil && s.gRingKey != nil {
-		for member, n := range s.ring.OwnerCounts(s.cache.Keys()) {
-			s.gRingKey.With(member).Set(int64(n))
-		}
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.reg.WritePrometheus(w)
 }
@@ -1492,10 +1123,6 @@ func statusFor(err error) int {
 	}
 	var de *resilience.DrainingError
 	if errors.As(err, &de) {
-		return http.StatusServiceUnavailable
-	}
-	var ge *resilience.DegradedError
-	if errors.As(err, &ge) {
 		return http.StatusServiceUnavailable
 	}
 	var be *diag.BudgetError

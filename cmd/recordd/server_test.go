@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -64,7 +65,7 @@ func TestHealthz(t *testing.T) {
 }
 
 func TestRetargetThenCompileByKey(t *testing.T) {
-	_, ts := newTestServer(t, serverConfig{cacheDir: t.TempDir()})
+	_, ts := newTestServer(t, serverConfig{})
 
 	var rt retargetResponse
 	code, raw := post(t, ts.URL+"/v1/retarget", map[string]string{"model_name": "demo"}, &rt)
@@ -104,6 +105,77 @@ func TestCompileUnknownKey404(t *testing.T) {
 	}, nil)
 	if code != http.StatusNotFound {
 		t.Fatalf("unknown key: %d, want 404", code)
+	}
+}
+
+// TestEvictedModelRecomputes pins the stateless-shard contract: once a
+// model leaves the memory tier, its key no longer resolves (404 — a
+// node only looks keys up), while the model itself recomputes on demand
+// with a byte-identical listing.
+func TestEvictedModelRecomputes(t *testing.T) {
+	s, ts := newTestServer(t, serverConfig{cacheSize: 1})
+	const prog = "int a = 2; int b = 3; int y; y = a + b;"
+	compile := func(body map[string]interface{}) (int, compileResponse, string) {
+		t.Helper()
+		body["source"] = prog
+		var cp compileResponse
+		code, raw := post(t, ts.URL+"/v1/compile", body, &cp)
+		return code, cp, raw
+	}
+	code, first, raw := compile(map[string]interface{}{"model_name": "demo"})
+	if code != http.StatusOK || first.Cache != "miss" {
+		t.Fatalf("first compile: %d %q %s", code, first.Cache, raw)
+	}
+	if code, _, raw := compile(map[string]interface{}{"model_name": "manocpu"}); code != http.StatusOK {
+		t.Fatalf("evicting compile: %d %s", code, raw)
+	}
+	if s.cache.InMemory(first.Key) {
+		t.Fatal("demo still in a one-entry memory tier")
+	}
+
+	if code, _, raw := compile(map[string]interface{}{"key": first.Key}); code != http.StatusNotFound {
+		t.Fatalf("by-key compile of an evicted model: %d %s, want 404", code, raw)
+	}
+	code, again, raw := compile(map[string]interface{}{"model_name": "demo"})
+	if code != http.StatusOK || again.Cache != "miss" {
+		t.Fatalf("by-name compile of an evicted model: %d %q %s, want a miss", code, again.Cache, raw)
+	}
+	if again.Key != first.Key || again.Listing != first.Listing || !reflect.DeepEqual(again.Words, first.Words) {
+		t.Fatal("recomputed model compiles differently")
+	}
+}
+
+// TestNoArtifactRoutes: a stateless shard serves no stored artifacts and
+// keeps no inventory, so the former replication routes are plain 404s.
+func TestNoArtifactRoutes(t *testing.T) {
+	_, ts := newTestServer(t, serverConfig{})
+	for _, req := range []struct{ method, path string }{
+		{http.MethodGet, "/v1/artifact/" + strings.Repeat("ab", 32)},
+		{http.MethodPut, "/v1/artifact/" + strings.Repeat("ab", 32)},
+		{http.MethodGet, "/v1/inventory"},
+	} {
+		r, err := http.NewRequest(req.method, ts.URL+req.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s: %d, want 404", req.method, req.path, resp.StatusCode)
+		}
+	}
+}
+
+// TestWorkersDefaultToNumCPU: an unset worker pool is one slot per CPU.
+func TestWorkersDefaultToNumCPU(t *testing.T) {
+	if got := (serverConfig{}).withDefaults().workers; got != runtime.NumCPU() {
+		t.Fatalf("default workers = %d, want NumCPU = %d", got, runtime.NumCPU())
+	}
+	if got := (serverConfig{workers: 3}).withDefaults().workers; got != 3 {
+		t.Fatalf("explicit workers = %d, want 3", got)
 	}
 }
 

@@ -35,7 +35,7 @@ func getJSON(t *testing.T, url string, out interface{}) *http.Response {
 // trace context and asserts the request span lands in the node's ring
 // under the caller's trace ID, with the echo header agreeing.
 func TestTracedRequestJoinsCallerTrace(t *testing.T) {
-	_, ts := newTestServer(t, serverConfig{cacheDir: t.TempDir(), nodeID: "n-test"})
+	_, ts := newTestServer(t, serverConfig{nodeID: "n-test"})
 
 	callerTrace := "0123456789abcdef0123456789abcdef"
 	header := fmt.Sprintf("00-%s-%s-01", callerTrace, "00000000000000ab")
@@ -101,7 +101,7 @@ func TestTracedRequestJoinsCallerTrace(t *testing.T) {
 // TestTracedRequestWithoutHeaderStartsFreshTrace checks that headerless
 // requests still get a ring entry with a nonzero self-assigned trace ID.
 func TestTracedRequestWithoutHeaderStartsFreshTrace(t *testing.T) {
-	_, ts := newTestServer(t, serverConfig{cacheDir: t.TempDir()})
+	_, ts := newTestServer(t, serverConfig{})
 	code, _ := post(t, ts.URL+"/v1/retarget", map[string]string{"model_name": "demo"}, nil)
 	if code != http.StatusOK {
 		t.Fatalf("retarget: %d", code)
@@ -122,7 +122,7 @@ func TestTracedRequestWithoutHeaderStartsFreshTrace(t *testing.T) {
 // TestHealthzReportsSLO asserts /healthz carries the burn-rate snapshot
 // for every configured route.
 func TestHealthzReportsSLO(t *testing.T) {
-	_, ts := newTestServer(t, serverConfig{cacheDir: t.TempDir()})
+	_, ts := newTestServer(t, serverConfig{})
 	code, _ := post(t, ts.URL+"/v1/retarget", map[string]string{"model_name": "demo"}, nil)
 	if code != http.StatusOK {
 		t.Fatalf("retarget: %d", code)
@@ -132,7 +132,7 @@ func TestHealthzReportsSLO(t *testing.T) {
 		SLO map[string]obs.SLOStatus `json:"slo"`
 	}
 	getJSON(t, ts.URL+"/healthz", &hz)
-	for _, route := range []string{"retarget", "compile", "batch", "artifact"} {
+	for _, route := range []string{"retarget", "compile", "batch"} {
 		if _, ok := hz.SLO[route]; !ok {
 			t.Fatalf("healthz slo missing route %q: %v", route, hz.SLO)
 		}
@@ -149,7 +149,7 @@ func TestHealthzReportsSLO(t *testing.T) {
 // TestSpanRingDropCounterExposed bounds the ring at two spans so a single
 // request overflows it, then checks the drop shows up on /metrics.
 func TestSpanRingDropCounterExposed(t *testing.T) {
-	_, ts := newTestServer(t, serverConfig{cacheDir: t.TempDir(), traceSpans: 2})
+	_, ts := newTestServer(t, serverConfig{traceSpans: 2})
 	for i := 0; i < 3; i++ {
 		code, _ := post(t, ts.URL+"/v1/retarget", map[string]string{"model_name": "demo"}, nil)
 		if code != http.StatusOK {

@@ -161,8 +161,13 @@ func Fingerprint(opts core.RetargetOptions) string {
 // SHA-256 over the format version, the options fingerprint and the MDL
 // source.  It never runs the pipeline.
 func Key(mdlSource string, opts core.RetargetOptions) string {
+	return contentKey(Fingerprint(opts), mdlSource)
+}
+
+// contentKey is Key over an already rendered options fingerprint.
+func contentKey(fingerprint, mdlSource string) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s/v%d\n%s\n", magic, FormatVersion, Fingerprint(opts))
+	fmt.Fprintf(h, "%s/v%d\n%s\n", magic, FormatVersion, fingerprint)
 	h.Write([]byte(mdlSource))
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -258,8 +263,9 @@ func (a *Artifact) Encode() ([]byte, error) {
 }
 
 // Decode parses and integrity-checks an encoded artifact.  Any framing,
-// checksum, version or structural mismatch returns an error; callers (the
-// cache) treat that as a miss, not a failure.
+// checksum, version or structural mismatch returns an error, as does a
+// key that is not the content address of the stored model and options;
+// callers (the cache) treat that as a miss, not a failure.
 func Decode(data []byte) (*Artifact, error) {
 	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 {
@@ -284,6 +290,9 @@ func Decode(data []byte) (*Artifact, error) {
 	}
 	if a.Format != FormatVersion {
 		return nil, fmt.Errorf("artifact: decode: payload format %d disagrees with header", a.Format)
+	}
+	if a.Key != contentKey(a.Options, a.Model) {
+		return nil, fmt.Errorf("artifact: decode: key %.12s… is not the content address of the stored model", a.Key)
 	}
 	return a, nil
 }

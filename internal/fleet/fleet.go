@@ -2,19 +2,14 @@
 // pieces that turn a set of independent recordd nodes into one fleet that
 // survives any single node dying mid-compile.
 //
-// It provides three mechanisms, all deterministic and all free of I/O so
-// both sides of the wire can share them:
+// It provides two mechanisms, both deterministic; the client-side Fleet
+// (internal/rclient) is their user:
 //
 //   - Ring: a consistent-hash ring with virtual nodes, keyed on the
 //     artifact SHA-256 content address (internal/artifact).  The ring
 //     decides which node owns a model's retarget product; removing a node
 //     remaps only that node's keys, so a node death never reshuffles the
 //     whole fleet's cache locality.
-//
-//   - Rendezvous: highest-random-weight replica selection.  Given a key
-//     and a candidate set it yields a deterministic preference order that
-//     every node computes identically without coordination — used to pick
-//     which peers to consult for artifact replication.
 //
 //   - Tracker: a per-endpoint health state machine
 //     (healthy → suspect → down → probing) driven by request outcomes and

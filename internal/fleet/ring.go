@@ -141,81 +141,3 @@ func (r *Ring) Successors(key string, n int) []string {
 	}
 	return out
 }
-
-// Arcs returns each node's share of the hash space as a fraction in
-// [0, 1], summing to 1 on a non-empty ring.  The arc between two
-// consecutive ring points belongs to the later point's node (the one a
-// key in that arc resolves to), with the wrap-around arc closing the
-// circle.  With the default 128 vnodes per node the shares stay within
-// a few tens of percent of 1/n — the rebalancing gauges built on this
-// make any drift visible as the fleet grows.
-func (r *Ring) Arcs() map[string]float64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[string]float64, len(r.nodes))
-	for n := range r.nodes {
-		out[n] = 0
-	}
-	if len(r.points) == 0 {
-		return out
-	}
-	if len(r.points) == 1 {
-		out[r.points[0].node] = 1 // the self-wrap arc is the whole circle
-		return out
-	}
-	const space = float64(1 << 63) * 2 // 2^64 as a float
-	prev := r.points[len(r.points)-1].hash
-	for _, p := range r.points {
-		// Arc length from the previous point to this one, clockwise.
-		// The first iteration wraps: p.hash - prev underflows to
-		// exactly the wrap-around arc in uint64 arithmetic.
-		out[p.node] += float64(p.hash-prev) / space
-		prev = p.hash
-	}
-	return out
-}
-
-// OwnerCounts buckets keys by their owning node, including zero counts
-// for members that own none of them.
-func (r *Ring) OwnerCounts(keys []string) map[string]int {
-	out := make(map[string]int)
-	for _, n := range r.Nodes() {
-		out[n] = 0
-	}
-	for _, k := range keys {
-		if owner := r.Owner(k); owner != "" {
-			out[owner]++
-		}
-	}
-	return out
-}
-
-// Rendezvous orders candidates by highest-random-weight for key and
-// returns the top n (n <= 0 or n > len means all).  Every caller computes
-// the same order with no shared state, and removing a candidate never
-// reorders the survivors — the classic rendezvous-hashing property, used
-// here to pick which ring peers to ask for a replicated artifact.
-func Rendezvous(key string, candidates []string, n int) []string {
-	type scored struct {
-		node  string
-		score uint64
-	}
-	scores := make([]scored, 0, len(candidates))
-	for _, c := range candidates {
-		scores = append(scores, scored{node: c, score: hash64(c + "\x00" + key)})
-	}
-	sort.Slice(scores, func(i, j int) bool {
-		if scores[i].score != scores[j].score {
-			return scores[i].score > scores[j].score
-		}
-		return scores[i].node < scores[j].node
-	})
-	if n <= 0 || n > len(scores) {
-		n = len(scores)
-	}
-	out := make([]string, n)
-	for i := 0; i < n; i++ {
-		out[i] = scores[i].node
-	}
-	return out
-}

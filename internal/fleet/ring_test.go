@@ -121,104 +121,3 @@ func TestRingEmptyAndMembership(t *testing.T) {
 		t.Fatalf("nodes %v", got)
 	}
 }
-
-func TestRendezvousDeterministicAndStable(t *testing.T) {
-	cands := []string{"n1", "n2", "n3", "n4"}
-	for _, k := range keys(100) {
-		full := Rendezvous(k, cands, 0)
-		if len(full) != len(cands) {
-			t.Fatalf("rendezvous dropped candidates: %v", full)
-		}
-		if top := Rendezvous(k, cands, 2); !reflect.DeepEqual(top, full[:2]) {
-			t.Fatalf("top-2 %v disagrees with full order %v", top, full)
-		}
-		// Removing a non-top candidate never reorders the survivors.
-		without := Rendezvous(k, []string{"n1", "n2", "n4"}, 0)
-		want := make([]string, 0, 3)
-		for _, n := range full {
-			if n != "n3" {
-				want = append(want, n)
-			}
-		}
-		if !reflect.DeepEqual(without, want) {
-			t.Fatalf("removal reordered survivors: %v vs %v", without, want)
-		}
-	}
-}
-
-func TestRingArcsNearUniform(t *testing.T) {
-	// With the default 128-vnode split, every member's share of the hash
-	// space stays near 1/n — the property the rebalancing gauges exist
-	// to watch.  sha256 point placement is deterministic, so the bounds
-	// here are exact for these member names, with headroom for growth.
-	for _, n := range []int{2, 3, 5, 8} {
-		members := make([]string, n)
-		for i := range members {
-			members[i] = fmt.Sprintf("node-%d", i)
-		}
-		r := NewRing(0, members...)
-		arcs := r.Arcs()
-		if len(arcs) != n {
-			t.Fatalf("n=%d: %d arcs", n, len(arcs))
-		}
-		total := 0.0
-		uniform := 1.0 / float64(n)
-		for node, frac := range arcs {
-			total += frac
-			if frac < uniform/2 || frac > uniform*2 {
-				t.Errorf("n=%d: %s owns %.4f of the ring (uniform %.4f)", n, node, frac, uniform)
-			}
-		}
-		if total < 0.9999 || total > 1.0001 {
-			t.Fatalf("n=%d: arcs sum to %.6f", n, total)
-		}
-	}
-}
-
-func TestRingArcsEdgeCases(t *testing.T) {
-	if got := NewRing(0).Arcs(); len(got) != 0 {
-		t.Fatalf("empty ring arcs: %v", got)
-	}
-	one := NewRing(1, "solo").Arcs()
-	if one["solo"] != 1 {
-		t.Fatalf("single-point ring arc = %v", one["solo"])
-	}
-}
-
-func TestRingOwnerCounts(t *testing.T) {
-	r := NewRing(0, "a", "b", "c")
-	ks := keys(300)
-	counts := r.OwnerCounts(ks)
-	if len(counts) != 3 {
-		t.Fatalf("counts for %d nodes", len(counts))
-	}
-	total := 0
-	for node, c := range counts {
-		total += c
-		if c == 0 {
-			t.Errorf("node %s owns zero of %d keys", node, len(ks))
-		}
-	}
-	if total != len(ks) {
-		t.Fatalf("counts sum to %d, want %d", total, len(ks))
-	}
-	// Counts agree with Owner, and absent members report zero.
-	for node, c := range counts {
-		manual := 0
-		for _, k := range ks {
-			if r.Owner(k) == node {
-				manual++
-			}
-		}
-		if manual != c {
-			t.Fatalf("node %s: OwnerCounts %d vs manual %d", node, c, manual)
-		}
-	}
-	r2 := NewRing(0, "a", "b", "lonely-node-that-owns-nothing-maybe")
-	counts2 := r2.OwnerCounts(nil)
-	for node, c := range counts2 {
-		if c != 0 {
-			t.Fatalf("no keys but node %s counts %d", node, c)
-		}
-	}
-}

@@ -142,7 +142,7 @@ func (s *Scope) Event(name string, dur time.Duration, attrs ...Attr) {
 type scopeCtxKey struct{}
 
 // ContextWithScope attaches a scope to a context so layers that already
-// thread contexts (rclient legs, rcache peer fetches, recordd handlers)
+// thread contexts (rclient legs, recordd handlers)
 // can propagate the active trace without new parameters.  A nil scope
 // returns ctx unchanged.
 func ContextWithScope(ctx context.Context, s *Scope) context.Context {

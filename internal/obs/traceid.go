@@ -8,9 +8,9 @@ import (
 
 // TraceHeader is the wire header carrying a span's identity between
 // processes, W3C traceparent-style: 00-<32 hex trace>-<16 hex span>-01.
-// The record client injects it on every request, recordd echoes it on
-// every response and re-injects it on peer artifact fetches, so one
-// trace ID follows a compile across the whole fleet.
+// The record client injects it on every request leg and recordd echoes
+// it on every response, so one trace ID follows a compile across every
+// node it reaches.
 const TraceHeader = "X-Record-Trace"
 
 // TraceID identifies one distributed trace: 128 random bits shared by

@@ -159,8 +159,8 @@ type Prewarmer struct {
 	// IsWarm reports whether key already sits in the memory tier; warm
 	// keys are skipped without taking a lease.
 	IsWarm func(key string) bool
-	// Warm loads one key into the memory tier (decode from disk/peer,
-	// or retarget from source).  It must honor ctx cancellation.
+	// Warm loads one key into the memory tier (decode from disk, or
+	// retarget from source).  It must honor ctx cancellation.
 	Warm func(ctx context.Context, key, source string) error
 
 	sweeps, warmed, yields, errs atomic.Uint64

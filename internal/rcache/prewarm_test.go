@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/models"
 )
 
 func TestPrewarmFromDiskAttribution(t *testing.T) {
@@ -149,81 +148,5 @@ func TestPrewarmCoalescesWithRealRequests(t *testing.T) {
 	c.mu.Unlock()
 	if inflight != 0 {
 		t.Fatalf("%d stale flights after prewarm", inflight)
-	}
-}
-
-func TestPrewarmPeerTierAttribution(t *testing.T) {
-	// Seed a "peer" by encoding the demo artifact through a disk cache,
-	// then prewarm a memory-only cache whose PeerFetch serves it.
-	dir := t.TempDir()
-	seed := newCache(t, dir, 0)
-	mdl := demoModel(t)
-	e, _, err := seed.GetContext(context.Background(), mdl, core.RetargetOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := seed.Encoded(e.Key)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	c, err := New(Options{PeerFetch: func(ctx context.Context, key string) ([]byte, error) {
-		return data, nil
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := c.Prewarm(context.Background(), e.Key, "", core.RetargetOptions{})
-	if err != nil || out != Peer {
-		t.Fatalf("peer prewarm: %s, %v", out, err)
-	}
-	st := c.Stats()
-	if st.PeerHits != 0 {
-		t.Fatalf("peer prewarm counted as a serving peer hit: %+v", st)
-	}
-	if st.PrewarmLoads != 1 {
-		t.Fatalf("prewarm attribution: %+v", st)
-	}
-	if !c.InMemory(e.Key) {
-		t.Fatal("peer prewarm did not land in memory")
-	}
-}
-
-func TestKeysListsDiskStore(t *testing.T) {
-	dir := t.TempDir()
-	c := newCache(t, dir, 0)
-	if got := c.Keys(); len(got) != 0 {
-		t.Fatalf("empty store lists %v", got)
-	}
-	var want []string
-	for _, name := range []string{"demo", "tms320c25"} {
-		mdl, ok := models.Get(name)
-		if !ok {
-			t.Fatalf("model %s missing", name)
-		}
-		e, _, err := c.GetContext(context.Background(), mdl, core.RetargetOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, e.Key)
-	}
-	got := c.Keys()
-	if len(got) != 2 {
-		t.Fatalf("Keys() = %v", got)
-	}
-	for _, k := range want {
-		found := false
-		for _, g := range got {
-			if g == k {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("Keys() = %v missing %s", got, k)
-		}
-	}
-	// Memory-only caches list nothing.
-	if got := newCache(t, "", 0).Keys(); got != nil {
-		t.Fatalf("memory-only Keys() = %v", got)
 	}
 }

@@ -1,6 +1,8 @@
-// Package rcache is the two-tier retarget cache: an in-memory LRU of live
-// core.Target instances over an on-disk store of encoded artifacts
-// (internal/artifact).
+// Package rcache is the retarget cache: an in-memory LRU of live
+// core.Target instances, optionally over an on-disk store of encoded
+// artifacts (internal/artifact).  The disk tier backs the record CLI's
+// -cache-dir; recordd runs memory-only and recomputes on a miss, since
+// decoding an artifact costs more than the retarget it replaces.
 //
 // Retargeting a processor model costs CPU minutes at paper scale while its
 // product is a pure function of (MDL source, options); serving compiles at
@@ -24,19 +26,16 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
-	"time"
 
 	"repro/internal/artifact"
 	"repro/internal/core"
 	"repro/internal/diag"
 	"repro/internal/faultpoint"
 	"repro/internal/obs"
-	"repro/internal/resilience"
 )
 
 // Outcome says which tier satisfied a Get.
@@ -46,7 +45,6 @@ type Outcome string
 const (
 	Mem       Outcome = "hit"       // memory tier
 	Disk      Outcome = "hit-disk"  // decoded from the artifact store
-	Peer      Outcome = "hit-peer"  // fetched encoded from a fleet peer
 	Miss      Outcome = "miss"      // full retarget ran
 	Coalesced Outcome = "coalesced" // waited on another request's retarget
 )
@@ -66,17 +64,6 @@ type Stats struct {
 	Retargets uint64 // underlying core.Retarget invocations
 	Orphans   uint64 // crash-orphaned temp files removed by the recovery scan
 	DiskFails uint64 // disk-tier write failures (any cause)
-	PeerHits  uint64 // artifacts fetched from a fleet peer
-	PeerFails uint64 // peer fetches that failed (degraded to local retarget)
-
-	// Self-healing disk tier: corrupt artifacts are renamed to
-	// <key>.quarantine (never deleted — the bytes are forensic evidence)
-	// and the scrubber repairs them from fleet peers.
-	Quarantined   uint64 // corrupt artifacts renamed aside (loadDisk + scrub)
-	ScrubClean    uint64 // scrubbed artifacts that verified clean
-	ScrubRepaired uint64 // quarantined artifacts re-fetched from a peer
-	ScrubLost     uint64 // quarantined artifacts no healthy peer could supply
-	Ingested      uint64 // artifacts accepted from peer pushes (anti-entropy)
 
 	// Speculative pre-warm is attributed apart from serving traffic so
 	// the hit-rate computed from the counters above is what real
@@ -97,18 +84,6 @@ type Options struct {
 	// (record_rcache_*); per-request spans come from the RetargetOptions
 	// passed to GetContext instead.  nil is safe.
 	Obs *obs.Scope
-	// PeerFetch, when set, is consulted on a local miss before a full
-	// retarget: it should return the encoded artifact bytes for key from
-	// a fleet peer, (nil, nil) when no peer has a copy, or an error.
-	// Failures degrade to a local retarget, never to a request failure.
-	// The disk scrubber uses the same hook to repair quarantined
-	// artifacts.
-	PeerFetch func(ctx context.Context, key string) ([]byte, error)
-	// ScrubRate paces the disk scrubber in artifacts verified per second
-	// (token bucket, burst of one second's worth); 0 means
-	// DefaultScrubRate.  The scrubber never runs unless RunScrubber or
-	// ScrubOnce is called.
-	ScrubRate float64
 }
 
 // DefaultMaxEntries is the memory-tier capacity when Options.MaxEntries
@@ -183,21 +158,8 @@ type Cache struct {
 	cRetargets  *obs.Counter
 	cOrphans    *obs.Counter
 	cDiskErrors *obs.Counter
-	cPeerErrors *obs.Counter
 	cPrewarm    *obs.CounterVec // by outcome; kept apart from cHits/cMisses
 	gDegraded   *obs.Gauge
-
-	// Self-healing instruments: scrub outcomes, cycle duration, the
-	// count of .quarantine files accumulated on disk (swept at startup,
-	// bumped per quarantine, dropped per repair), and peer-push ingests.
-	cScrub      *obs.CounterVec
-	hScrubCycle *obs.Histogram
-	gQuarantine *obs.Gauge
-	cIngest     *obs.CounterVec
-
-	// scrubGate serializes scrub cycles so RunScrubber and a direct
-	// ScrubOnce caller never double-walk the store.
-	scrubGate sync.Mutex
 }
 
 // New creates a cache; when opts.Dir is set the directory is created and
@@ -236,47 +198,14 @@ func New(opts Options) (*Cache, error) {
 		"crash-orphaned temp files removed by the startup recovery scan")
 	c.cDiskErrors = reg.Counter("record_rcache_disk_errors_total",
 		"disk-tier write failures")
-	c.cPeerErrors = reg.Counter("record_rcache_peer_errors_total",
-		"peer artifact fetches that failed (degraded to local retarget)")
 	c.cPrewarm = reg.CounterVec("record_rcache_prewarm_total",
 		"speculative pre-warm attempts, by outcome; attributed apart from the serving hit/miss counters", "outcome")
 	c.gDegraded = reg.Gauge("record_rcache_disk_degraded",
 		"1 when the disk tier is disabled after an unusable-disk error")
-	c.cScrub = reg.CounterVec("record_rcache_scrub_total",
-		"disk-scrub verifications, by outcome (clean | quarantined | repaired | unrepairable)", "outcome")
-	c.hScrubCycle = reg.Histogram("record_rcache_scrub_cycle_seconds",
-		"wall time of one full disk-scrub cycle", nil)
-	c.gQuarantine = reg.Gauge("record_rcache_quarantined_files",
-		"corrupt artifacts currently set aside as <key>.quarantine in the store directory")
-	c.cIngest = reg.CounterVec("record_rcache_ingest_total",
-		"artifacts pushed by peers (anti-entropy), by outcome", "outcome")
 	if opts.Dir != "" {
 		c.recoverOrphans()
-		c.sweepQuarantine()
 	}
 	return c, nil
-}
-
-// sweepQuarantine counts the .quarantine files already accumulated in the
-// store directory so operators see corruption that predates this process
-// (quarantined artifacts are never deleted automatically; clearing them
-// is an explicit operator action).
-func (c *Cache) sweepQuarantine() {
-	entries, err := os.ReadDir(c.opts.Dir)
-	if err != nil {
-		return
-	}
-	found := 0
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".quarantine") {
-			found++
-		}
-	}
-	c.gQuarantine.Set(int64(found))
-	if found > 0 {
-		c.opts.Reporter.Warnf("rcache", diag.Pos{},
-			"%d quarantined artifact(s) from previous runs in %s", found, c.opts.Dir)
-	}
 }
 
 // recoverOrphans deletes temp files left behind by a crash mid-store.
@@ -424,19 +353,11 @@ func (c *Cache) GetContext(ctx context.Context, mdlSource string, ropts core.Ret
 	return entry, outcome, err
 }
 
-// Lookup is LookupContext with a background context, for callers that
-// have no request context to thread through a peer fetch.
-func (c *Cache) Lookup(key string) (*Entry, bool) {
-	e, _, ok := c.LookupContext(context.Background(), key)
-	return e, ok
-}
-
-// LookupContext returns the entry for a content address without being
-// able to retarget: memory tier, then disk tier, then — when a PeerFetch
-// hook is configured — the fleet's peers.  ok is false when the key is
-// in none of them (or its disk artifact is corrupt).  The outcome says
-// which tier answered, Miss when none did.
-func (c *Cache) LookupContext(ctx context.Context, key string) (*Entry, Outcome, bool) {
+// Lookup returns the entry for a content address without being able to
+// retarget: memory tier, then disk tier.  ok is false when the key is in
+// neither (or its disk artifact is corrupt).  The outcome says which tier
+// answered, Miss when none did.
+func (c *Cache) Lookup(key string) (*Entry, Outcome, bool) {
 	c.mu.Lock()
 	if el, ok := c.byKey[key]; ok {
 		c.lru.MoveToFront(el)
@@ -448,12 +369,14 @@ func (c *Cache) LookupContext(ctx context.Context, key string) (*Entry, Outcome,
 	}
 	c.mu.Unlock()
 
-	entry, outcome := c.loadDisk(key), Disk
+	// A key can arrive from a request; only a content address may name a
+	// file in the store.
+	if !validKey(key) {
+		return nil, Miss, false
+	}
+	entry := c.loadDisk(key)
 	if entry == nil {
-		entry, outcome = c.fetchPeer(ctx, key), Peer
-		if entry == nil {
-			return nil, Miss, false
-		}
+		return nil, Miss, false
 	}
 	c.mu.Lock()
 	// Another goroutine may have inserted meanwhile; prefer its entry.
@@ -462,29 +385,18 @@ func (c *Cache) LookupContext(ctx context.Context, key string) (*Entry, Outcome,
 	} else {
 		c.insert(key, entry)
 	}
-	if outcome == Disk {
-		c.stats.DiskHits++
-	}
+	c.stats.DiskHits++
 	c.mu.Unlock()
-	if outcome == Disk {
-		c.cHits.With("disk").Inc()
-	}
-	return entry, outcome, true
+	c.cHits.With("disk").Inc()
+	return entry, Disk, true
 }
 
 // fill resolves a key the memory tier does not have: disk first, then a
-// fleet peer's copy, then a full retarget (persisting the fresh artifact
-// for the next process).
+// full retarget (persisting the fresh artifact for the next process).
 func (c *Cache) fill(ctx context.Context, key, mdlSource string, ropts core.RetargetOptions) (*Entry, Outcome, error) {
 	if entry := c.loadDisk(key); entry != nil {
 		markHit(ropts.Obs, "disk")
 		return entry, Disk, nil
-	}
-	// The rewrapped context parents the peer fetch's HTTP span (and its
-	// trace header) under this get's span rather than the request root.
-	if entry := c.fetchPeer(obs.ContextWithScope(ctx, ropts.Obs), key); entry != nil {
-		markHit(ropts.Obs, "peer")
-		return entry, Peer, nil
 	}
 
 	c.mu.Lock()
@@ -504,10 +416,9 @@ func (c *Cache) fill(ctx context.Context, key, mdlSource string, ropts core.Reta
 	return entry, Miss, nil
 }
 
-// loadDisk decodes the artifact for key, quarantining corrupt files as
-// misses: the bytes are renamed to <key>.quarantine, never deleted, so
-// the evidence of how they rotted survives for forensics and the
-// scrubber can repair the key from a peer.
+// loadDisk decodes the artifact for key.  A corrupt file is a miss plus a
+// warning, never an error: it is counted, removed, and the caller
+// retargets (rewriting a whole artifact in its place).
 func (c *Cache) loadDisk(key string) *Entry {
 	if c.opts.Dir == "" || c.diskOff.Load() {
 		return nil
@@ -517,7 +428,13 @@ func (c *Cache) loadDisk(key string) *Entry {
 		return nil // absent: plain miss
 	}
 	bad := func(err error) *Entry {
-		c.quarantine(key, err)
+		c.mu.Lock()
+		c.stats.Corrupt++
+		c.mu.Unlock()
+		c.cCorrupt.Inc()
+		c.opts.Reporter.Warnf("rcache", diag.Pos{},
+			"dropping corrupt cache artifact %s: %v", key, err)
+		_ = os.Remove(c.path(key))
 		return nil
 	}
 	a, err := artifact.Decode(data)
@@ -532,178 +449,6 @@ func (c *Cache) loadDisk(key string) *Entry {
 		return bad(err)
 	}
 	return c.newEntry(key, t)
-}
-
-func (c *Cache) quarantinePath(key string) string {
-	return filepath.Join(c.opts.Dir, key+".quarantine")
-}
-
-// quarantine sets a corrupt artifact aside as <key>.quarantine and counts
-// the corruption once.  Renaming (not deleting) preserves the corrupt
-// bytes for forensics; a later scrub repairs the key from a peer.  A
-// failed rename leaves the file in place — deletion is never the
-// fallback — and the key simply stays a miss until the scrubber retries.
-func (c *Cache) quarantine(key string, cause error) {
-	c.mu.Lock()
-	c.stats.Corrupt++
-	c.mu.Unlock()
-	c.cCorrupt.Inc()
-	_, statErr := os.Stat(c.quarantinePath(key))
-	if err := os.Rename(c.path(key), c.quarantinePath(key)); err != nil {
-		c.opts.Reporter.Warnf("rcache", diag.Pos{},
-			"corrupt cache artifact %s (%v) could not be quarantined: %v", key, cause, err)
-		return
-	}
-	c.mu.Lock()
-	c.stats.Quarantined++
-	c.mu.Unlock()
-	c.cScrub.With("quarantined").Inc()
-	if statErr != nil { // first quarantine of this key; re-corruption overwrites
-		c.gQuarantine.Inc()
-	}
-	c.opts.Reporter.Warnf("rcache", diag.Pos{},
-		"quarantined corrupt cache artifact %s: %v", key, cause)
-}
-
-// fetchPeer asks the PeerFetch hook for another node's encoded artifact
-// on a local miss, counting a success as a serving peer hit.  Any
-// failure — peer miss, transport error, corrupt or mismatched bytes —
-// returns nil and the caller falls back to a local retarget: peer
-// replication can only ever save work, never fail a request.
-func (c *Cache) fetchPeer(ctx context.Context, key string) *Entry {
-	entry := c.peerEntry(ctx, key)
-	if entry == nil {
-		return nil
-	}
-	c.mu.Lock()
-	c.stats.PeerHits++
-	c.mu.Unlock()
-	c.cHits.With("peer").Inc()
-	return entry
-}
-
-// peerEntry is the fetch itself, without the serving-hit attribution:
-// Prewarm uses it directly so background replication does not inflate
-// the hit counters.  Fetched bytes are persisted to the local disk tier
-// so the copy survives restarts and is servable onward to other peers.
-func (c *Cache) peerEntry(ctx context.Context, key string) *Entry {
-	if c.opts.PeerFetch == nil {
-		return nil
-	}
-	data, err := c.opts.PeerFetch(ctx, key)
-	if err != nil {
-		c.peerFail(key, err)
-		return nil
-	}
-	if data == nil {
-		return nil // no peer has a copy: plain miss, not a failure
-	}
-	a, err := artifact.Decode(data)
-	if err != nil {
-		c.peerFail(key, err)
-		return nil
-	}
-	if a.Key != key {
-		c.peerFail(key, fmt.Errorf("peer artifact self-identifies as %s", a.Key))
-		return nil
-	}
-	t, err := a.Target()
-	if err != nil {
-		c.peerFail(key, err)
-		return nil
-	}
-	if c.opts.Dir != "" && !c.diskOff.Load() {
-		if err := c.storeBytes(key, data); err != nil {
-			c.diskFail(key, err)
-		}
-	}
-	return c.newEntry(key, t)
-}
-
-// peerFail records one failed peer fetch; the request continues locally.
-func (c *Cache) peerFail(key string, err error) {
-	c.mu.Lock()
-	c.stats.PeerFails++
-	c.mu.Unlock()
-	c.cPeerErrors.Inc()
-	c.opts.Reporter.Warnf("rcache", diag.Pos{},
-		"peer fetch for %s failed, retargeting locally: %v", key, err)
-}
-
-// Encoded returns the on-disk encoded artifact for key, for serving to
-// fleet peers.  Only the disk tier is served: a memory-only cache (no
-// store directory, or a degraded disk) reports os.ErrNotExist — entries
-// in RAM no longer carry their model source, so the artifact cannot be
-// re-encoded.  The key is validated as a content address first, so a
-// peer-supplied key can never escape the store directory.
-func (c *Cache) Encoded(key string) ([]byte, error) {
-	if !validKey(key) {
-		return nil, fmt.Errorf("rcache: malformed artifact key %q", key)
-	}
-	if c.opts.Dir == "" || c.diskOff.Load() {
-		return nil, os.ErrNotExist
-	}
-	return os.ReadFile(c.path(key))
-}
-
-// ErrNoStore reports an Ingest against a cache with no disk tier: a
-// memory-only node cannot hold a durable replica, so accepting the push
-// would let the fleet believe the key is safer than it is.
-var ErrNoStore = errors.New("rcache: no disk store configured")
-
-// DegradedRetryAfter is the backoff hint attached to Ingest refusals
-// while the disk tier is degraded.
-const DegradedRetryAfter = 30 * time.Second
-
-// Ingest accepts an encoded artifact pushed by a fleet peer
-// (anti-entropy replication) and persists it crash-safely.  The bytes
-// are decode-verified against the content address before acceptance — a
-// corrupt or mis-keyed push is rejected, never written.  A degraded disk
-// tier refuses with a typed transient *resilience.DegradedError (the
-// push must land on a node that can actually hold a durable replica,
-// not be buffered memory-only); a cache with no store directory refuses
-// with ErrNoStore.  A key already present is a successful no-op, so
-// repeated pushes from concurrent sweeps are idempotent and cheap.
-func (c *Cache) Ingest(key string, data []byte) error {
-	if !validKey(key) {
-		c.cIngest.With("rejected").Inc()
-		return fmt.Errorf("rcache: malformed artifact key %q", key)
-	}
-	if c.opts.Dir == "" {
-		c.cIngest.With("rejected").Inc()
-		return ErrNoStore
-	}
-	if c.diskOff.Load() {
-		c.cIngest.With("degraded").Inc()
-		return &resilience.DegradedError{Resource: "disk tier", After: DegradedRetryAfter}
-	}
-	if _, err := os.Stat(c.path(key)); err == nil {
-		c.cIngest.With("duplicate").Inc()
-		return nil
-	}
-	a, err := artifact.Decode(data)
-	if err != nil {
-		c.cIngest.With("rejected").Inc()
-		return fmt.Errorf("rcache: rejecting pushed artifact for %s: %w", key, err)
-	}
-	if a.Key != key {
-		c.cIngest.With("rejected").Inc()
-		return fmt.Errorf("rcache: pushed artifact self-identifies as %s, not %s", a.Key, key)
-	}
-	if err := c.storeBytes(key, data); err != nil {
-		c.diskFail(key, err)
-		if c.diskOff.Load() {
-			c.cIngest.With("degraded").Inc()
-			return &resilience.DegradedError{Resource: "disk tier", After: DegradedRetryAfter}
-		}
-		c.cIngest.With("error").Inc()
-		return err
-	}
-	c.mu.Lock()
-	c.stats.Ingested++
-	c.mu.Unlock()
-	c.cIngest.With("stored").Inc()
-	return nil
 }
 
 // validKey reports whether key has the exact shape of a content address
@@ -832,30 +577,9 @@ func (c *Cache) InMemory(key string) bool {
 	return ok
 }
 
-// Keys lists the content addresses present in the disk store, sorted.
-// A memory-only or degraded cache lists nothing.
-func (c *Cache) Keys() []string {
-	if c.opts.Dir == "" || c.diskOff.Load() {
-		return nil
-	}
-	entries, err := os.ReadDir(c.opts.Dir)
-	if err != nil {
-		return nil
-	}
-	var keys []string
-	for _, e := range entries {
-		name := e.Name()
-		if k := strings.TrimSuffix(name, ".rart"); k != name && validKey(k) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // Prewarm brings the artifact for key into the memory tier ahead of
-// demand: disk first, then a fleet peer, then — when mdlSource is known
-// — a fresh retarget.  The next real request for the key is then a
+// demand: disk first, then — when mdlSource is known — a fresh
+// retarget.  The next real request for the key is then a
 // memory hit.
 //
 // Attribution is the point of having a separate entry point: everything
@@ -867,8 +591,8 @@ func (c *Cache) Keys() []string {
 // background work instead of duplicating it.
 //
 // The returned outcome mirrors GetContext's tiers: Mem (already warm),
-// Coalesced (someone else is filling it), Disk/Peer (decoded into
-// memory), Miss with nil error (retargeted, or nothing to warm from
+// Coalesced (someone else is filling it), Disk (decoded into memory),
+// Miss with nil error (retargeted, or nothing to warm from
 // when mdlSource is empty and no tier has a copy).
 func (c *Cache) Prewarm(ctx context.Context, key, mdlSource string, ropts core.RetargetOptions) (Outcome, error) {
 	if !validKey(key) {
@@ -893,10 +617,6 @@ func (c *Cache) Prewarm(ctx context.Context, key, mdlSource string, ropts core.R
 	if entry := c.loadDisk(key); entry != nil {
 		c.adoptPrewarmed(key, entry, "hit-disk")
 		return Disk, nil
-	}
-	if entry := c.peerEntry(ctx, key); entry != nil {
-		c.adoptPrewarmed(key, entry, "hit-peer")
-		return Peer, nil
 	}
 	if mdlSource == "" {
 		// Known only by key (the clients always sent "key"): with no

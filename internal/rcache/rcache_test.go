@@ -218,15 +218,15 @@ func TestLookupByKey(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, ok := c1.Lookup("no-such-key"); ok {
-		t.Fatal("unknown key resolved")
+	if _, out, ok := c1.Lookup("no-such-key"); ok || out != Miss {
+		t.Fatalf("unknown key resolved (%s)", out)
 	}
-	if got, ok := c1.Lookup(e.Key); !ok || got != e {
-		t.Fatal("memory lookup failed")
+	if got, out, ok := c1.Lookup(e.Key); !ok || got != e || out != Mem {
+		t.Fatalf("memory lookup failed (%s)", out)
 	}
 	c2 := newCache(t, dir, 0)
-	if _, ok := c2.Lookup(e.Key); !ok {
-		t.Fatal("disk lookup failed")
+	if _, out, ok := c2.Lookup(e.Key); !ok || out != Disk {
+		t.Fatalf("disk lookup failed (%s)", out)
 	}
 }
 

@@ -39,9 +39,8 @@ var (
 // already the content address; inline source and bundled names hash to
 // the same SHA-256 the server caches under (with default options —
 // a server running non-default options still shards consistently, just
-// under a different owner than its cache key, which only costs one
-// peer-fetch).  Unresolvable names fall back to the breaker fingerprint:
-// stable routing, arbitrary owner.
+// under a different key than its cache uses).  Unresolvable names fall
+// back to the breaker fingerprint: stable routing, arbitrary owner.
 func (m ModelRef) routeKey() string {
 	switch {
 	case m.Key != "":

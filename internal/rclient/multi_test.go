@@ -251,7 +251,9 @@ func TestFleetHedgedRequestLoserCancelled(t *testing.T) {
 	primary, backup := byURL(t, nodes, order[0]), byURL(t, nodes, order[1])
 
 	cancelled := make(chan struct{})
+	primaryIn := make(chan struct{})
 	primary.handler.Store(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		close(primaryIn)
 		// Drain the body so the server's background read can observe the
 		// client abandoning the connection.
 		io.Copy(io.Discard, r.Body)
@@ -261,6 +263,18 @@ func TestFleetHedgedRequestLoserCancelled(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Error("slow primary was never cancelled")
 		}
+	}))
+
+	// The hedge must not win before the primary's request has arrived:
+	// a race the hedge wins first cancels a leg that never reached its
+	// node, and there is nothing left to observe.
+	backup.handler.Store(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-primaryIn:
+		case <-time.After(5 * time.Second):
+			t.Error("primary leg never reached its node")
+		}
+		okCompileHandler(backup.name)(w, r)
 	}))
 
 	// Hedge fires immediately via an injected, pre-fired timer.

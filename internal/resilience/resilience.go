@@ -80,28 +80,6 @@ func (e *DrainingError) Transient() bool { return true }
 // RetryAfterHint returns how long the caller should back off.
 func (e *DrainingError) RetryAfterHint() time.Duration { return e.After }
 
-// DegradedError reports a request refused because a resource the request
-// needs (typically the durable disk tier) is degraded on this node.  It
-// maps to HTTP 503 with a Retry-After hint: the condition is transient
-// from the fleet's point of view — another replica can accept the work,
-// and this node may recover — but unlike draining the node itself stays
-// up and keeps serving everything that does not need the degraded
-// resource.
-type DegradedError struct {
-	Resource string
-	After    time.Duration
-}
-
-func (e *DegradedError) Error() string {
-	return fmt.Sprintf("%s degraded: retry in %v", e.Resource, e.After)
-}
-
-// Transient marks the condition as retryable.
-func (e *DegradedError) Transient() bool { return true }
-
-// RetryAfterHint returns how long the caller should back off.
-func (e *DegradedError) RetryAfterHint() time.Duration { return e.After }
-
 // IsDraining reports whether err (or anything it wraps) is a
 // DrainingError.  Draining is a different kind of transient than overload
 // or an open circuit: the node is going away, so its Retry-After hint is
