@@ -296,7 +296,6 @@ func compile(c *config, rep *diag.Reporter, budget *diag.Budget, stdout, stderr 
 
 	ropts := c.core.Retarget(rep, budget)
 	var target *core.Target
-	var comp *core.Compiler
 	if c.cacheDir != "" {
 		cache, err := rcache.New(rcache.Options{Dir: c.cacheDir, MaxEntries: 1, Reporter: rep, Obs: c.core.Obs})
 		if err != nil {
@@ -311,7 +310,6 @@ func compile(c *config, rep *diag.Reporter, budget *diag.Budget, stdout, stderr 
 			return err
 		}
 		target = entry.Target()
-		comp = entry.Compiler()
 		if c.showStats {
 			state := "miss"
 			if outcome.Hit() {
@@ -330,12 +328,12 @@ func compile(c *config, rep *diag.Reporter, budget *diag.Budget, stdout, stderr 
 		printRetargetStats(stdout, target)
 	}
 
-	// One Compiler for the whole run: every file, worker goroutine and
-	// control-flow block compiles through its pooled sessions.
-	if comp == nil {
-		if comp, err = core.NewCompiler(target, c.core); err != nil {
-			return err
-		}
+	// One Compiler for the whole run, holding the run's compile options:
+	// every file, worker goroutine and control-flow block compiles through
+	// its pooled sessions.
+	comp, err := core.NewCompiler(target, c.core)
+	if err != nil {
+		return err
 	}
 
 	if len(c.srcFiles) > 0 {
@@ -569,7 +567,7 @@ func compileOne(c *config, comp *core.Compiler, src string, rep *diag.Reporter, 
 			if budget != nil && budget.Ctx != nil {
 				ctx = budget.Ctx
 			}
-			res, err = comp.CompileProgramOpts(ctx, prog, c.core.Compile())
+			res, err = comp.CompileSource(ctx, src)
 		}
 		return err
 	})

@@ -825,24 +825,12 @@ func (s *server) compileWire(ctx context.Context, req compileRequest, bkey strin
 		return errWireStatus(status, err)
 	}
 	s.touch(entry.Key, req.modelRequest)
-	done := s.trackCompile(entry.Key)
-	defer done()
-
-	cctx, cancel := s.compileCtx(ctx)
-	defer cancel()
-	start := time.Now()
-	res, err := entry.Compile(cctx, req.Source, core.CompileOptions{
-		NoCompaction: req.Options.NoCompaction,
-		NoPeephole:   req.Options.NoPeephole,
-		Obs:          s.obsFrom(ctx),
-	})
-	s.observePhase("compile", time.Since(start))
-	s.recordOutcome(bkey, err)
+	res, err := s.compile(ctx, entry, bkey, req.Source, req.Options)
 	if err != nil {
 		return errWire(fmt.Errorf("compile: %w", err))
 	}
 
-	start = time.Now()
+	start := time.Now()
 	wr := marshalWire(http.StatusOK, compileResponse{
 		Key:     entry.Key,
 		Name:    entry.Target().Name,
@@ -945,23 +933,11 @@ func (s *server) compileOne(ctx context.Context, cl qos.Class, entry *rcache.Ent
 		return batchResult{ID: id, Status: statusFor(err), Error: err.Error()}
 	}
 	defer release()
-	done := s.trackCompile(entry.Key)
-	defer done()
-
 	opts := def
 	if p.Options != nil {
 		opts = *p.Options
 	}
-	cctx, cancel := s.compileCtx(ctx)
-	defer cancel()
-	start := time.Now()
-	res, err := entry.Compile(cctx, p.Source, core.CompileOptions{
-		NoCompaction: opts.NoCompaction,
-		NoPeephole:   opts.NoPeephole,
-		Obs:          s.obsFrom(ctx),
-	})
-	s.observePhase("compile", time.Since(start))
-	s.recordOutcome(entry.Key, err)
+	res, err := s.compile(ctx, entry, entry.Key, p.Source, opts)
 	if err != nil {
 		return batchResult{ID: id, Status: statusFor(err), Error: err.Error()}
 	}
@@ -973,6 +949,25 @@ func (s *server) compileOne(ctx context.Context, cl qos.Class, entry *rcache.Ent
 		Words:   res.Words(),
 		Listing: entry.Listing(res),
 	}
+}
+
+// compile runs one program on a resolved entry under a pool slot the
+// caller holds: in-flight gauges, the per-request timeout, the compile
+// phase histogram and the circuit keyed by bkey.
+func (s *server) compile(ctx context.Context, entry *rcache.Entry, bkey, src string, opts compileOptions) (*core.CompileResult, error) {
+	done := s.trackCompile(entry.Key)
+	defer done()
+	cctx, cancel := s.compileCtx(ctx)
+	defer cancel()
+	start := time.Now()
+	res, err := entry.Compile(cctx, src, core.CompileOptions{
+		NoCompaction: opts.NoCompaction,
+		NoPeephole:   opts.NoPeephole,
+		Obs:          s.obsFrom(ctx),
+	})
+	s.observePhase("compile", time.Since(start))
+	s.recordOutcome(bkey, err)
+	return res, err
 }
 
 // ---- plumbing -----------------------------------------------------------

@@ -24,10 +24,9 @@ import (
 
 // Encoder encodes instruction words for one extracted machine.
 //
-// A fresh Encoder is single-threaded: encoding operations memoize in the
-// shared BDD manager.  Freeze bakes the per-template encoding tables and
-// freezes the manager, after which the Encoder is immutable and any number
-// of Sessions may encode concurrently.
+// Freeze bakes the per-template encoding tables and freezes the shared BDD
+// manager, after which the Encoder is immutable and any number of Sessions
+// may encode concurrently.  Sessions exist only after Freeze.
 type Encoder struct {
 	Vars *ise.VarMap
 	Base *rtl.Base
@@ -178,30 +177,17 @@ func (e *Encoder) FreezeWithSolo(solo []*bdd.Node) error {
 	return nil
 }
 
-// condOps is the BDD operation set encoding needs; satisfied by both
-// *bdd.Manager (single-threaded, pre-freeze) and *bdd.View (copy-on-write
-// overlay, post-freeze).
-type condOps interface {
-	True() *bdd.Node
-	False() *bdd.Node
-	And(...*bdd.Node) *bdd.Node
-	Not(*bdd.Node) *bdd.Node
-	Cube(map[int]bool) *bdd.Node
-	CubeLits([]bdd.Lit) *bdd.Node
-	AnySatWalk(*bdd.Node, func(v int, val bool)) bool
-}
-
-// Session is one encoding session against the (usually frozen) encoder.
-// Sessions of a frozen Encoder are independent and may run concurrently;
-// one Session must not be shared between goroutines.  The session's view
+// Session is one encoding session against a frozen encoder.  Sessions are
+// independent and may run concurrently; one Session must not be shared
+// between goroutines.  The session's private copy-on-write view
 // accumulates operation memos across words, so one compilation should use
-// one session.  Sessions of a frozen encoder may also be pooled and reused
-// across sequential compilations: results stay byte-identical because BDD
-// canonicity makes every condition independent of what the view memoized
-// earlier, and OverlaySize bounds how much memory a pooled session retains.
+// one session.  Sessions may also be pooled and reused across sequential
+// compilations: results stay byte-identical because BDD canonicity makes
+// every condition independent of what the view memoized earlier, and
+// OverlaySize bounds how much memory a pooled session retains.
 type Session struct {
-	e   *Encoder
-	ops condOps
+	e    *Encoder
+	view *bdd.View
 
 	// lits is scratch for operand-field literal collection, reused across
 	// words so the per-word cube costs no map and no fresh slice.
@@ -212,14 +198,10 @@ type Session struct {
 	cWords *obs.Counter
 }
 
-// NewSession opens an encoding session.  Pre-freeze the session operates
-// directly (and destructively) on the shared manager, preserving the old
-// single-threaded behavior; post-freeze it gets a private view.
+// NewSession opens an encoding session with a private view of the frozen
+// manager.  It panics on an encoder that has not been frozen.
 func (e *Encoder) NewSession() *Session {
-	if e.frozen {
-		return &Session{e: e, ops: e.m.NewView()}
-	}
-	return &Session{e: e, ops: e.m}
+	return &Session{e: e, view: e.m.NewView()}
 }
 
 // NewSessionObs opens an encoding session with instrumentation: every
@@ -244,7 +226,7 @@ func (e *Encoder) NewSessionObs(scope *obs.Scope) *Session {
 func (s *Session) WordCond(instrs []*code.Instr) (*bdd.Node, error) {
 	e := s.e
 	var cond *bdd.Node
-	if e.frozen && len(instrs) == 1 {
+	if len(instrs) == 1 {
 		// Baked fast path: the solo condition already conjoins the static
 		// condition with quiescence of every other storage.  A false solo
 		// condition falls through to the slow path for a precise error.
@@ -253,32 +235,32 @@ func (s *Session) WordCond(instrs []*code.Instr) (*bdd.Node, error) {
 		}
 	}
 	if cond == nil {
-		c := s.ops.True()
+		c := s.view.True()
 		intended := make(map[string]bool)
 		for _, in := range instrs {
-			c = s.ops.And(c, in.Template.Cond.Static)
+			c = s.view.And(c, in.Template.Cond.Static)
 			if !in.Template.DestPort {
 				intended[in.Template.Dest] = true
 			}
 		}
-		if c == s.ops.False() {
+		if c == s.view.False() {
 			return nil, fmt.Errorf("asm: conflicting execution conditions (instruction encoding conflict)")
 		}
 		lits, err := s.fieldLits(instrs)
 		if err != nil {
 			return nil, err
 		}
-		c = s.ops.And(c, s.ops.CubeLits(lits))
-		if c == s.ops.False() {
+		c = s.view.And(c, s.view.CubeLits(lits))
+		if c == s.view.False() {
 			return nil, fmt.Errorf("asm: operand fields contradict execution conditions")
 		}
 		// Quiescence for untouched storages, in sorted storage order.
-		for i, st := range e.quiesceOrder() {
+		for i, st := range e.storageList {
 			if intended[st] {
 				continue
 			}
-			c = s.ops.And(c, e.notQuiesceAt(s.ops, i))
-			if c == s.ops.False() {
+			c = s.view.And(c, e.notQuiesce[i])
+			if c == s.view.False() {
 				return nil, fmt.Errorf("asm: cannot encode word without disturbing %s", st)
 			}
 		}
@@ -289,8 +271,8 @@ func (s *Session) WordCond(instrs []*code.Instr) (*bdd.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	cond = s.ops.And(cond, s.ops.CubeLits(lits))
-	if cond == s.ops.False() {
+	cond = s.view.And(cond, s.view.CubeLits(lits))
+	if cond == s.view.False() {
 		return nil, fmt.Errorf("asm: operand fields contradict execution conditions")
 	}
 	return cond, nil
@@ -335,24 +317,6 @@ func (s *Session) fieldLits(instrs []*code.Instr) ([]bdd.Lit, error) {
 	return out, nil
 }
 
-// quiesceOrder returns the suppressible storages in sorted order, baked
-// when frozen.
-func (e *Encoder) quiesceOrder() []string {
-	if e.frozen {
-		return e.storageList
-	}
-	return e.storages()
-}
-
-// notQuiesceAt returns ¬quiesce of the i'th ordered storage, baked when
-// frozen.
-func (e *Encoder) notQuiesceAt(ops condOps, i int) *bdd.Node {
-	if e.frozen {
-		return e.notQuiesce[i]
-	}
-	return ops.Not(e.quiesce[e.quiesceOrder()[i]])
-}
-
 // Encode picks a concrete instruction word (and required mode state)
 // satisfying the word condition.  Unconstrained bits default to 0.
 func (s *Session) Encode(instrs []*code.Instr) (word uint64, mode ModeReq, err error) {
@@ -364,7 +328,7 @@ func (s *Session) Encode(instrs []*code.Instr) (word uint64, mode ModeReq, err e
 	// Walk the satisfying path directly: no assignment map, and the mode
 	// map (empty for almost every word) is allocated only when a mode
 	// variable actually appears on the path.
-	ok := s.ops.AnySatWalk(cond, func(v int, val bool) {
+	ok := s.view.AnySatWalk(cond, func(v int, val bool) {
 		if bit, isInsn := e.Vars.IsInsnVar(v); isInsn {
 			if val {
 				word |= 1 << uint(bit)
@@ -397,12 +361,7 @@ func (s *Session) Feasible(instrs []*code.Instr) bool {
 }
 
 // NOP returns an instruction word that changes no suppressible storage.
-func (s *Session) NOP() (uint64, error) {
-	if s.e.frozen {
-		return s.e.nop, s.e.nopErr
-	}
-	return s.e.nopWord()
-}
+func (s *Session) NOP() (uint64, error) { return s.e.nop, s.e.nopErr }
 
 // nopWord picks a quiescent word from the quiet condition (read-only).
 func (e *Encoder) nopWord() (uint64, error) {
@@ -447,15 +406,9 @@ func (s *Session) EncodeProgram(p *code.Program) (ModeReq, error) {
 }
 
 // OverlaySize returns the number of private BDD nodes the session's view
-// has accumulated, or 0 for a pre-freeze session operating on the shared
-// manager.  Session pools use it to decide whether a returned session is
-// still cheap enough to reuse.
-func (s *Session) OverlaySize() int {
-	if v, ok := s.ops.(*bdd.View); ok {
-		return v.OverlaySize()
-	}
-	return 0
-}
+// has accumulated.  Session pools use it to decide whether a returned
+// session is still cheap enough to reuse.
+func (s *Session) OverlaySize() int { return s.view.OverlaySize() }
 
 // Listing renders an encoded program as an annotated listing.
 func (e *Encoder) Listing(p *code.Program) string {

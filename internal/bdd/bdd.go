@@ -451,27 +451,10 @@ func (m *Manager) Cube(assign map[int]bool) *Node {
 
 // Lit is one literal of a cube: variable Var with value Val.  Slices of
 // literals replace map[int]bool on hot paths so one scratch slice can be
-// reused across many cube constructions.
+// reused across many cube constructions (see View.CubeLits).
 type Lit struct {
 	Var int
 	Val bool
-}
-
-// CubeLits builds the conjunction of the given literals.  lits must be
-// sorted by Var ascending with no duplicate variables; unlike Cube this
-// allocates nothing beyond the canonical nodes themselves.
-func (m *Manager) CubeLits(lits []Lit) *Node {
-	r := m.trueN
-	// Build bottom-up for linear-size construction.
-	for i := len(lits) - 1; i >= 0; i-- {
-		l := lits[i]
-		if l.Val {
-			r = m.mk(l.Var, m.falseN, r)
-		} else {
-			r = m.mk(l.Var, r, m.falseN)
-		}
-	}
-	return r
 }
 
 // AnySatWalk visits one satisfying assignment of f literal by literal

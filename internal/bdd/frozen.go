@@ -18,10 +18,8 @@
 // already present in the frozen base resolves to the base node, so results
 // are bit-for-bit the ones a serial, unfrozen run would produce (ROBDDs
 // are canonical for a fixed variable order).  A View is NOT safe for
-// concurrent use itself — it is meant to live for one compilation.
+// concurrent use itself — it belongs to one encoding session at a time.
 package bdd
-
-import "sort"
 
 // Freeze marks the manager read-only.  Subsequent calls that would create
 // nodes, declare variables or write the operation cache panic with an
@@ -143,29 +141,9 @@ func (v *View) Or(ns ...*Node) *Node {
 // Not returns the complement of f.
 func (v *View) Not(f *Node) *Node { return v.Ite(f, v.base.falseN, v.base.trueN) }
 
-// Cube builds the conjunction of literals given as variable→value, exactly
-// as Manager.Cube but through the overlay.
-func (v *View) Cube(assign map[int]bool) *Node {
-	vars := make([]int, 0, len(assign))
-	for va := range assign {
-		vars = append(vars, va)
-	}
-	sort.Ints(vars)
-	r := v.base.trueN
-	for i := len(vars) - 1; i >= 0; i-- {
-		va := vars[i]
-		if assign[va] {
-			r = v.mk(va, v.base.falseN, r)
-		} else {
-			r = v.mk(va, r, v.base.falseN)
-		}
-	}
-	return r
-}
-
 // CubeLits builds the conjunction of the given literals through the
-// overlay; lits must be sorted by Var ascending with no duplicates (see
-// Manager.CubeLits).
+// overlay.  lits must be sorted by Var ascending with no duplicate
+// variables; nothing is allocated beyond the nodes themselves.
 func (v *View) CubeLits(lits []Lit) *Node {
 	r := v.base.trueN
 	for i := len(lits) - 1; i >= 0; i-- {

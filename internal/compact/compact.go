@@ -15,6 +15,7 @@
 package compact
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/code"
@@ -29,6 +30,10 @@ type Options struct {
 	// Obs receives compaction instruments (instructions in, words out);
 	// nil is safe.
 	Obs *obs.Scope
+	// Ctx, when set, is checked before each instruction is placed:
+	// scheduling is quadratic in the program length, so a long program
+	// must be able to stop at its caller's deadline.  nil never cancels.
+	Ctx context.Context
 }
 
 // record lands the compaction ratio in the registry; the instruction and
@@ -69,6 +74,9 @@ func Compact(seq *code.Seq, enc Feasibility, opts Options) (*code.Program, error
 	wordOf := make([]int, len(seq.Instrs))
 	var trial []*code.Instr // placement-probe scratch, reused across trials
 	for idx, in := range seq.Instrs {
+		if opts.Ctx != nil && opts.Ctx.Err() != nil {
+			return nil, opts.Ctx.Err()
+		}
 		earliest := 0
 		for j := 0; j < idx; j++ {
 			w := wordOf[j]
@@ -124,11 +132,21 @@ func Verify(seq *code.Seq, p *code.Program, enc Feasibility) error {
 	if count != len(seq.Instrs) {
 		return fmt.Errorf("compact: %d instructions packed, %d expected", count, len(seq.Instrs))
 	}
+	// Only a pair placed out of order can violate a dependence, so the
+	// quadratic sweep compares word indices first and runs the dependence
+	// tests on those pairs alone.
+	words := make([]int, len(seq.Instrs))
+	for i, in := range seq.Instrs {
+		words[i] = wordOf[in]
+	}
 	for i := 0; i < len(seq.Instrs); i++ {
 		for j := i + 1; j < len(seq.Instrs); j++ {
+			wa, wb := words[i], words[j]
+			if wb > wa {
+				continue
+			}
 			a, b := seq.Instrs[i], seq.Instrs[j]
-			wa, wb := wordOf[a], wordOf[b]
-			if (code.RAW(a, b) || code.WAW(a, b)) && wb <= wa {
+			if code.RAW(a, b) || code.WAW(a, b) {
 				return fmt.Errorf("compact: dependence %s -> %s violated (words %d, %d)", a, b, wa, wb)
 			}
 			if code.WAR(a, b) && wb < wa {

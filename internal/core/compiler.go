@@ -1,36 +1,40 @@
 // The Compiler handle: the long-lived compile side of a retargeted
-// processor.
+// processor, and the one place programs are compiled.
 //
 // RetargetContext is the expensive offline step; per-program compilation is
-// meant to be cheap and massively parallel.  CompileSourceContext alone
-// cannot deliver that: every call re-resolves metric instruments through
-// the registry mutex, allocates a fresh encoding session (a BDD view plus
-// its overlay maps) and throws the session's warmed operation memo away.
-// A Compiler binds one frozen Target to one Config once and amortizes all
-// of it — sessions are pooled per worker via sync.Pool and recycled while
-// their copy-on-write overlay stays small, instruments are resolved at
-// construction, and the compile options are fixed up front — so cmd/record
-// -jobs, recordd workers and the batch path all compile through one
-// reusable object.
+// meant to be cheap and massively parallel.  A Compiler binds one frozen
+// Target to one Config once and amortizes everything a compile would
+// otherwise pay per call — sessions are pooled per worker via sync.Pool and
+// recycled while their copy-on-write overlay stays small, instruments are
+// resolved at construction, and the compile options are fixed up front.
+// Every compile runs here: cmd/record -jobs, recordd workers, the batch
+// path, and Target.CompileSourceContext, which delegates to a per-Target
+// Compiler built on first use.
 //
 // Reusing an encoding session across compilations is sound because the
 // produced code is a pure function of the frozen tables: ROBDDs are
 // canonical for the frozen variable order, so every condition a session
 // builds is structurally identical whether its view memo is cold or warm,
 // and the satisfying-path walk that picks instruction bits sees the same
-// structure either way.  Output stays byte-identical to a serial,
-// fresh-session run; the -race 32-way test in freeze_test.go holds this.
+// structure either way.  Output stays byte-identical to a fresh-session
+// run; the -race tests in compiler_test.go and freeze_test.go hold this.
 package core
 
 import (
 	"context"
 	"fmt"
 	"sync"
+	"time"
 
 	"repro/internal/asm"
+	"repro/internal/bind"
 	"repro/internal/cfront"
+	"repro/internal/codegen"
+	"repro/internal/compact"
+	"repro/internal/diag"
 	"repro/internal/ir"
 	"repro/internal/obs"
+	"repro/internal/opt"
 )
 
 // maxPooledOverlay bounds the private BDD nodes a pooled session may
@@ -63,8 +67,7 @@ type Compiler struct {
 // NewCompiler builds a compile handle for a frozen target.  cfg supplies
 // the compile options (NoCompaction, NoPeephole), the observability scope
 // and nothing else; retargeting fields are ignored here.  The target must
-// be frozen — an unfrozen target's encoder mutates shared state and cannot
-// back a concurrent handle.
+// be frozen: encoding sessions exist only over a frozen encoder.
 func NewCompiler(t *Target, cfg Config) (*Compiler, error) {
 	if t == nil {
 		return nil, fmt.Errorf("core: NewCompiler: nil target")
@@ -92,7 +95,7 @@ func NewCompiler(t *Target, cfg Config) (*Compiler, error) {
 // Target returns the frozen target the compiler compiles for.
 func (c *Compiler) Target() *Target { return c.t }
 
-// CompileSource compiles RecC source text through the pooled hot path.
+// CompileSource compiles RecC source text with the handle's options.
 func (c *Compiler) CompileSource(ctx context.Context, src string) (*CompileResult, error) {
 	return c.CompileSourceOpts(ctx, src, c.opts)
 }
@@ -109,13 +112,15 @@ func (c *Compiler) CompileSourceOpts(ctx context.Context, src string, opts Compi
 	return c.CompileProgramOpts(ctx, prog, opts)
 }
 
-// CompileProgram compiles an IR program through the pooled hot path.
-func (c *Compiler) CompileProgram(ctx context.Context, prog *ir.Program) (*CompileResult, error) {
-	return c.CompileProgramOpts(ctx, prog, c.opts)
-}
-
-// CompileProgramOpts compiles an IR program with per-call option
-// overrides (see CompileSourceOpts for the Obs caveat).
+// CompileProgramOpts compiles an IR program — bind → select → peephole →
+// compact → encode — with per-call option overrides (see
+// CompileSourceOpts for the Obs caveat).  ctx cancellation is observed
+// between stages; a cancelled compile returns ctx.Err wrapped in a
+// *diag.BudgetError so servers map it onto their timeout class.
+//
+// The whole compilation touches no shared mutable state: selection walks
+// the frozen target's read-only tables, and encoding runs in a pooled
+// session's private copy-on-write BDD view.
 func (c *Compiler) CompileProgramOpts(ctx context.Context, prog *ir.Program, opts CompileOptions) (*CompileResult, error) {
 	c.compiles.Inc()
 	sess := c.AcquireSession()
@@ -123,13 +128,97 @@ func (c *Compiler) CompileProgramOpts(ctx context.Context, prog *ir.Program, opt
 	if opts.Obs == nil {
 		opts.Obs = c.opts.Obs
 	}
-	return c.t.compile(ctx, prog, opts, sess, opts.Obs, c.observeStage)
-}
-
-func (c *Compiler) observeStage(stage string, seconds float64) {
-	if h := c.stageSec[stage]; h != nil {
-		h.Observe(seconds)
+	if ctx == nil {
+		ctx = context.Background()
 	}
+	check := func(stage string) error {
+		if err := ctx.Err(); err != nil {
+			return &diag.BudgetError{Resource: "deadline", Cause: fmt.Errorf("compile cancelled at %s: %w", stage, err)}
+		}
+		return nil
+	}
+	t := c.t
+	cSpan, scope := opts.Obs.Start("compile")
+	defer cSpan.End()
+	// stage wraps one pipeline stage in a span and the phase histogram;
+	// the returned func must run exactly once, error path included.  The
+	// stage's own wall-clock measurement feeds both, via Event, so tracing
+	// a stage costs one ring append rather than a Start/End pair.
+	stage := func(name string) func() {
+		from := time.Now()
+		return func() {
+			d := time.Since(from)
+			scope.Event(name, d)
+			c.stageSec[name].Observe(d.Seconds())
+		}
+	}
+	done := stage("bind")
+	b, err := bind.Bind(prog, t.Net)
+	if err != nil {
+		done()
+		return nil, err
+	}
+	ets, err := b.LowerProgram(prog)
+	done()
+	if err != nil {
+		return nil, err
+	}
+	if err := check("selection"); err != nil {
+		return nil, err
+	}
+	done = stage("select")
+	gen := codegen.New(t.Grammar, t.Parser, b)
+	raw, err := gen.Compile(ets)
+	done()
+	if err != nil {
+		return nil, err
+	}
+	seq := raw
+	var optStats opt.Stats
+	if !opts.NoPeephole {
+		done = stage("peephole")
+		seq, optStats = opt.Optimize(raw)
+		done()
+	}
+	if err := check("compaction"); err != nil {
+		return nil, err
+	}
+	done = stage("compact")
+	prg, err := compact.Compact(seq, sess, compact.Options{Disable: opts.NoCompaction, Obs: scope, Ctx: ctx})
+	if err == nil {
+		err = compact.Verify(seq, prg, sess)
+	}
+	done()
+	if err != nil {
+		if cerr := check("compaction"); cerr != nil {
+			return nil, cerr
+		}
+		return nil, err
+	}
+	if insn := t.Net.InsnStorage(); insn != nil && prg.Len() > insn.Size() {
+		return nil, fmt.Errorf("core: program (%d words) exceeds instruction memory (%d)", prg.Len(), insn.Size())
+	}
+	if err := check("encoding"); err != nil {
+		return nil, err
+	}
+	done = stage("encode")
+	mode, err := sess.EncodeProgram(prg)
+	done()
+	if err != nil {
+		return nil, err
+	}
+	cSpan.SetAttr("instrs", seq.Len())
+	cSpan.SetAttr("words", prg.Len())
+	return &CompileResult{
+		Program: prog,
+		Binding: b,
+		Seq:     seq,
+		RawSeq:  raw,
+		Code:    prg,
+		ModeReq: mode,
+		Stats:   gen.Stats,
+		Opt:     optStats,
+	}, nil
 }
 
 // AcquireSession borrows an encoding session from the pool for callers

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/dspstone"
 	"repro/internal/models"
 )
 
@@ -35,7 +36,8 @@ func TestNewCompilerRejectsBadTargets(t *testing.T) {
 // TestCompilerParallelByteIdentical is the acceptance test for the pooled
 // hot path: 32 goroutines compile through ONE Compiler — recycling warm
 // sessions from its pool — across two processor models, and every word
-// sequence must equal a serial fresh-session baseline bit for bit.  Run
+// sequence must equal a serial fresh-session baseline (freshWords) bit for
+// bit.  Run
 // under -race in CI; multiple rounds per worker make session reuse (a
 // worker picking up another worker's warmed memo) all but certain.
 func TestCompilerParallelByteIdentical(t *testing.T) {
@@ -70,15 +72,9 @@ func TestCompilerParallelByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Serial baseline through the one-shot path: a fresh session
-			// per compile, before any pooling is in play.
 			ref := make([][]uint64, len(tc.srcs))
 			for i, src := range tc.srcs {
-				res, err := target.CompileSourceContext(context.Background(), src, CompileOptions{})
-				if err != nil {
-					t.Fatalf("serial reference %d: %v", i, err)
-				}
-				ref[i] = res.Words()
+				ref[i] = freshWords(t, target, src)
 			}
 
 			comp, err := NewCompiler(target, Config{})
@@ -122,6 +118,59 @@ func TestCompilerParallelByteIdentical(t *testing.T) {
 				t.Error(err)
 			}
 		})
+	}
+}
+
+// freshWords compiles src through a new Compiler, whose empty pool hands
+// out a session nobody has used: the serial reference that pooled,
+// concurrent compiles must reproduce bit for bit.
+func freshWords(t *testing.T, target *Target, src string) []uint64 {
+	t.Helper()
+	comp, err := NewCompiler(target, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := comp.CompileSource(context.Background(), src)
+	if err != nil {
+		t.Fatalf("fresh-session reference %q: %v", src, err)
+	}
+	return res.Words()
+}
+
+// TestTargetPathUsesPool pins Target.CompileSourceContext to the pooled
+// Compiler path: on tms320c25 dot_product it must allocate within 10% of
+// Compiler.CompileSource, not pay for a fresh encoding session per call.
+func TestTargetPathUsesPool(t *testing.T) {
+	c25, ok := models.Get("tms320c25")
+	if !ok {
+		t.Fatal("tms320c25 model missing")
+	}
+	k, ok := dspstone.Get("dot_product")
+	if !ok {
+		t.Fatal("dot_product kernel missing")
+	}
+	target, err := RetargetContext(context.Background(), c25, RetargetOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := NewCompiler(target, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	viaTarget := testing.AllocsPerRun(20, func() {
+		if _, err := target.CompileSourceContext(ctx, k.Source, CompileOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	viaCompiler := testing.AllocsPerRun(20, func() {
+		if _, err := comp.CompileSource(ctx, k.Source); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if viaTarget > 1.1*viaCompiler {
+		t.Fatalf("Target.CompileSourceContext: %.0f allocs/op, Compiler.CompileSource: %.0f (want within 10%%)",
+			viaTarget, viaCompiler)
 	}
 }
 

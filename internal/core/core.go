@@ -4,24 +4,25 @@
 //	HDL model → internal graph model → instruction-set extraction →
 //	template-base extension → tree grammar → tree parser (code selector)
 //
-// Retarget runs that pipeline once per processor model and returns a
-// Target whose Compile methods translate RecC source programs into
-// compacted, encoded machine code; Execute runs the code on the netlist
-// simulator so results can be checked against the IR interpreter oracle.
+// RetargetContext runs that pipeline once per processor model and returns
+// a frozen Target.  A Compiler (compiler.go) over that Target translates
+// RecC source programs into compacted, encoded machine code; it is the one
+// compile path, and Target.CompileSourceContext delegates to it.  Execute
+// runs the code on the netlist simulator so results can be checked against
+// the IR interpreter oracle.
 package core
 
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/asm"
 	"repro/internal/bind"
 	"repro/internal/burs"
-	"repro/internal/cfront"
 	"repro/internal/code"
 	"repro/internal/codegen"
-	"repro/internal/compact"
 	"repro/internal/diag"
 	"repro/internal/grammar"
 	"repro/internal/hdl"
@@ -88,9 +89,9 @@ type RetargetStats struct {
 
 // Target is a retargeted compiler instance for one processor model.
 //
-// Retarget returns the Target frozen: the encoder's per-template encoding
-// tables are baked and the shared BDD manager is read-only, so Compile
-// methods touch no shared mutable state and any number of goroutines may
+// RetargetContext returns the Target frozen: the encoder's per-template
+// encoding tables are baked and the shared BDD manager is read-only, so
+// compiles touch no shared mutable state and any number of goroutines may
 // compile against one Target concurrently.  Degraded (partial) targets are
 // frozen too — freezing is about reentrancy, cacheability is a separate
 // question (see internal/artifact.Cacheable).
@@ -106,6 +107,11 @@ type Target struct {
 
 	ParserSource string
 	Stats        RetargetStats
+
+	// compiler backs CompileSourceContext.  It is built on first use so a
+	// Target assembled from a struct literal (internal/artifact) needs no
+	// constructor.
+	compiler atomic.Pointer[Compiler]
 }
 
 // RetargetContext builds a compiler for the processor described by MDL
@@ -367,130 +373,23 @@ func (r *CompileResult) CodeLen() int { return r.Code.Len() }
 // BDD manager read-only (always true for Retarget-built targets).
 func (t *Target) Frozen() bool { return t.Encoder != nil && t.Encoder.Frozen() }
 
-// CompileSourceContext compiles RecC source text for the target,
-// observing ctx cancellation between pipeline stages.  Safe for concurrent
-// use on a frozen target.
+// CompileSourceContext compiles RecC source text for the target through
+// its Compiler (see compiler.go), built on first use with a zero Config:
+// opts fixes the options and span scope per call, while counters and stage
+// histograms are not recorded — hold a Compiler built with Config.Obs for
+// those.  ctx cancellation is observed between pipeline stages.  Safe for
+// concurrent use.
 func (t *Target) CompileSourceContext(ctx context.Context, src string, opts CompileOptions) (*CompileResult, error) {
-	prog, err := cfront.Parse(src)
-	if err != nil {
-		return nil, fmt.Errorf("core: RecC frontend: %w", err)
-	}
-	return t.CompileProgramContext(ctx, prog, opts)
-}
-
-// CompileProgramContext compiles an IR program for the target.  ctx
-// cancellation is observed between stages (bind, selection, peephole,
-// compaction, encoding); a cancelled compile returns ctx.Err wrapped in a
-// *diag.BudgetError so servers map it onto their timeout class.
-//
-// On a frozen target the whole compilation touches no shared mutable
-// state: selection walks read-only tables, and encoding runs in a private
-// copy-on-write BDD view, so concurrent compiles need no locking and the
-// produced words are byte-identical to a serial run's.
-func (t *Target) CompileProgramContext(ctx context.Context, prog *ir.Program, opts CompileOptions) (*CompileResult, error) {
-	opts.Obs.Registry().Counter("record_core_compiles_total",
-		"program compilations started").Inc()
-	phaseSec := phaseSeconds(opts.Obs.Registry())
-	// One throwaway encoding session per compilation; long-lived callers
-	// should hold a Compiler, whose pooled sessions and pre-resolved
-	// instruments avoid the per-call registry lookups and view allocation.
-	sess := t.Encoder.NewSessionObs(opts.Obs)
-	return t.compile(ctx, prog, opts, sess, opts.Obs, func(stage string, seconds float64) {
-		phaseSec.With(stage).Observe(seconds)
-	})
-}
-
-// compile is the shared per-program pipeline behind CompileProgramContext
-// and Compiler: bind → select → peephole → compact → encode, using the
-// caller-provided encoding session (owned by the caller; never retained)
-// and reporting each stage's wall clock through observe.
-func (t *Target) compile(ctx context.Context, prog *ir.Program, opts CompileOptions, sess *asm.Session, parent *obs.Scope, observe func(stage string, seconds float64)) (*CompileResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	check := func(stage string) error {
-		if err := ctx.Err(); err != nil {
-			return &diag.BudgetError{Resource: "deadline", Cause: fmt.Errorf("compile cancelled at %s: %w", stage, err)}
+	c := t.compiler.Load()
+	if c == nil {
+		fresh, err := NewCompiler(t, Config{})
+		if err != nil {
+			return nil, err
 		}
-		return nil
+		t.compiler.CompareAndSwap(nil, fresh)
+		c = t.compiler.Load()
 	}
-	cSpan, scope := parent.Start("compile")
-	defer cSpan.End()
-	// stage wraps one pipeline stage in a span and the phase histogram;
-	// the returned func must run exactly once, error path included.  The
-	// stage's own wall-clock measurement feeds both, via Event, so tracing
-	// a stage costs one ring append rather than a Start/End pair.
-	stage := func(name string) func() {
-		from := time.Now()
-		return func() {
-			d := time.Since(from)
-			scope.Event(name, d)
-			observe(name, d.Seconds())
-		}
-	}
-	done := stage("bind")
-	b, err := bind.Bind(prog, t.Net)
-	if err != nil {
-		done()
-		return nil, err
-	}
-	ets, err := b.LowerProgram(prog)
-	done()
-	if err != nil {
-		return nil, err
-	}
-	if err := check("selection"); err != nil {
-		return nil, err
-	}
-	done = stage("select")
-	gen := codegen.New(t.Grammar, t.Parser, b)
-	raw, err := gen.Compile(ets)
-	done()
-	if err != nil {
-		return nil, err
-	}
-	seq := raw
-	var optStats opt.Stats
-	if !opts.NoPeephole {
-		done = stage("peephole")
-		seq, optStats = opt.Optimize(raw)
-		done()
-	}
-	if err := check("compaction"); err != nil {
-		return nil, err
-	}
-	done = stage("compact")
-	prg, err := compact.Compact(seq, sess, compact.Options{Disable: opts.NoCompaction, Obs: scope})
-	if err != nil {
-		done()
-		return nil, err
-	}
-	err = compact.Verify(seq, prg, sess)
-	done()
-	if err != nil {
-		return nil, err
-	}
-	if err := check("encoding"); err != nil {
-		return nil, err
-	}
-	done = stage("encode")
-	mode, err := sess.EncodeProgram(prg)
-	done()
-	if err != nil {
-		return nil, err
-	}
-	cSpan.SetAttr("instrs", seq.Len())
-	cSpan.SetAttr("words", prg.Len())
-	return &CompileResult{
-		Program: prog,
-		Binding: b,
-		Seq:     seq,
-		RawSeq:  raw,
-		Code:    prg,
-		ModeReq: mode,
-		Stats:   gen.Stats,
-		Opt:     optStats,
-	}, nil
+	return c.CompileSourceOpts(ctx, src, opts)
 }
 
 // Listing renders the compiled program as an annotated listing.

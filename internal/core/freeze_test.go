@@ -29,7 +29,7 @@ func TestRetargetFreezesTarget(t *testing.T) {
 // TestConcurrentCompileByteIdentical is the acceptance test for lock-free
 // parallel compilation: 8 goroutines compile the same programs against one
 // frozen target with no external synchronization, and every word sequence
-// must equal the serial reference bit for bit.
+// must equal the serial fresh-session reference bit for bit.
 func TestConcurrentCompileByteIdentical(t *testing.T) {
 	target, err := RetargetContext(context.Background(), micro16, RetargetOptions{})
 	if err != nil {
@@ -41,14 +41,9 @@ func TestConcurrentCompileByteIdentical(t *testing.T) {
 		"int a = 4; int y; y = a + a;",
 		"int a = 9; int b = 5; int y; int z; y = a - b; z = y + a;",
 	}
-	// Serial reference words, compiled before any concurrency starts.
 	ref := make([][]uint64, len(srcs))
 	for i, src := range srcs {
-		res, err := target.CompileSourceContext(context.Background(), src, CompileOptions{})
-		if err != nil {
-			t.Fatalf("serial reference %d: %v", i, err)
-		}
-		ref[i] = res.Words()
+		ref[i] = freshWords(t, target, src)
 	}
 
 	const workers = 8
@@ -146,11 +141,7 @@ func TestFreezePropertyRandomPrograms(t *testing.T) {
 			ref := make([][]uint64, nPrograms)
 			for i := range srcs {
 				srcs[i] = randomSource(rng, tc.ops)
-				res, err := target.CompileSourceContext(context.Background(), srcs[i], CompileOptions{})
-				if err != nil {
-					t.Fatalf("serial %q: %v", srcs[i], err)
-				}
-				ref[i] = res.Words()
+				ref[i] = freshWords(t, target, srcs[i])
 			}
 			var wg sync.WaitGroup
 			errs := make(chan error, nPrograms)
@@ -179,7 +170,7 @@ func TestFreezePropertyRandomPrograms(t *testing.T) {
 }
 
 // TestCompileContextCancellation checks the satellite API change: a
-// canceled context aborts CompileProgram between stages with a budget
+// canceled context aborts a compile between stages with a budget
 // error, not a hang or a panic.
 func TestCompileContextCancellation(t *testing.T) {
 	target, err := RetargetContext(context.Background(), micro16, RetargetOptions{})

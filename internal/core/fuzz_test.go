@@ -4,8 +4,11 @@ import (
 	"context"
 	"math/rand"
 	"testing"
+	"time"
 
+	"repro/internal/dspstone"
 	"repro/internal/ir"
+	"repro/internal/models"
 	"repro/internal/rtl"
 )
 
@@ -54,20 +57,30 @@ func randomProgram(rng *rand.Rand) *ir.Program {
 	return p
 }
 
+// micro16Compiler retargets micro16 and wraps it in a Compiler.
+func micro16Compiler(t *testing.T) *Compiler {
+	t.Helper()
+	comp, err := NewCompiler(retargetMicro16(t), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return comp
+}
+
 // TestPropRandomProgramsMicro16 compiles random programs and checks the
 // netlist simulation against the IR interpreter — the end-to-end fuzz of
 // the whole pipeline (selection, scheduling, spilling, splitting,
 // peephole, compaction, encoding, simulation).
 func TestPropRandomProgramsMicro16(t *testing.T) {
-	tg := retargetMicro16(t)
+	comp := micro16Compiler(t)
 	rng := rand.New(rand.NewSource(12345))
 	for trial := 0; trial < 150; trial++ {
 		p := randomProgram(rng)
-		res, err := tg.CompileProgramContext(context.Background(), p, CompileOptions{})
+		res, err := comp.CompileProgramOpts(context.Background(), p, CompileOptions{})
 		if err != nil {
 			t.Fatalf("trial %d: compile: %v\nprogram: %v", trial, err, p.Body)
 		}
-		if err := tg.CheckAgainstOracle(res); err != nil {
+		if err := comp.Target().CheckAgainstOracle(res); err != nil {
 			t.Fatalf("trial %d: %v\nprogram: %v\ncode:\n%s",
 				trial, err, p.Body, res.Seq)
 		}
@@ -77,16 +90,52 @@ func TestPropRandomProgramsMicro16(t *testing.T) {
 // TestPropRandomProgramsNoPeephole isolates the peephole pass: raw and
 // optimized code must both match the oracle.
 func TestPropRandomProgramsNoPeephole(t *testing.T) {
-	tg := retargetMicro16(t)
+	comp := micro16Compiler(t)
 	rng := rand.New(rand.NewSource(777))
 	for trial := 0; trial < 60; trial++ {
 		p := randomProgram(rng)
-		raw, err := tg.CompileProgramContext(context.Background(), p, CompileOptions{NoPeephole: true, NoCompaction: true})
+		raw, err := comp.CompileProgramOpts(context.Background(), p, CompileOptions{NoPeephole: true, NoCompaction: true})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if err := tg.CheckAgainstOracle(raw); err != nil {
+		if err := comp.Target().CheckAgainstOracle(raw); err != nil {
 			t.Fatalf("trial %d (raw): %v", trial, err)
 		}
 	}
+}
+
+// FuzzCompileSource fuzzes the RecC text every /v1/compile body carries,
+// on a tms320c25 target retargeted once per process.  An input either
+// compiles to code whose simulation matches the IR interpreter, or is
+// rejected with an error; it never panics or hangs.  Each compile runs
+// under a 2 s deadline.  Seeds are the ten DSPStone kernels.
+//
+//	go test -run='^$' -fuzz=FuzzCompileSource -fuzztime=10s ./internal/core
+func FuzzCompileSource(f *testing.F) {
+	for _, k := range dspstone.Suite() {
+		f.Add(k.Source)
+	}
+	c25, ok := models.Get("tms320c25")
+	if !ok {
+		f.Fatal("tms320c25 model missing")
+	}
+	target, err := RetargetContext(context.Background(), c25, RetargetOptions{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	comp, err := NewCompiler(target, Config{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		res, err := comp.CompileSource(ctx, src)
+		if err != nil {
+			return
+		}
+		if err := target.CheckAgainstOracle(res); err != nil {
+			t.Fatalf("%v\nsource:\n%s\nlisting:\n%s", err, src, target.Listing(res))
+		}
+	})
 }

@@ -185,7 +185,9 @@ func constVal(e Expr) (int64, bool) {
 	return c.Val, true
 }
 
-// MaxUnroll bounds loop unrolling.
+// MaxUnroll bounds loop unrolling: both the iterations of one loop and the
+// assignments a whole program flattens to, so nested loops cannot
+// multiply past it.
 const MaxUnroll = 4096
 
 // Flatten lowers the program body to a straight-line list of assignments:
@@ -214,6 +216,9 @@ func flattenStmts(stmts []Stmt, env []binding, out *[]*Assign) error {
 				}
 				rhs = subst(rhs, b.name, b.val)
 			}
+			if len(*out) == MaxUnroll {
+				return fmt.Errorf("ir: program flattens to more than %d assignments", MaxUnroll)
+			}
 			*out = append(*out, &Assign{LHS: lhs, RHS: fold(rhs)})
 		case *For:
 			from, to, step := st.From, st.To, st.Step
@@ -232,10 +237,21 @@ func flattenStmts(stmts []Stmt, env []binding, out *[]*Assign) error {
 			if inc <= 0 {
 				return fmt.Errorf("ir: loop over %s has non-positive step %d", st.Var, inc)
 			}
-			if (t-f+inc-1)/inc > MaxUnroll {
+			// Count trips in uint64: t-f and i+inc may overflow int64
+			// near the ends of its range.
+			var trips uint64
+			if t > f {
+				span := uint64(t) - uint64(f)
+				trips = span / uint64(inc)
+				if span%uint64(inc) != 0 {
+					trips++
+				}
+			}
+			if trips > MaxUnroll {
 				return fmt.Errorf("ir: loop over %s unrolls to more than %d iterations", st.Var, MaxUnroll)
 			}
-			for i := f; i < t; i += inc {
+			for k := uint64(0); k < trips; k++ {
+				i := f + int64(k)*inc
 				if err := flattenStmts(st.Body, append(env, binding{st.Var, i}), out); err != nil {
 					return err
 				}

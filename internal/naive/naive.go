@@ -147,7 +147,11 @@ func Compile(t *core.Target, prog *ir.Program) (*core.CompileResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return t.CompileProgramContext(context.Background(), lowered, core.CompileOptions{NoCompaction: true})
+	c, err := core.NewCompiler(t, core.Config{})
+	if err != nil {
+		return nil, err
+	}
+	return c.CompileProgramOpts(context.Background(), lowered, core.CompileOptions{NoCompaction: true})
 }
 
 // CompileSource is Compile for RecC source text.

@@ -429,6 +429,18 @@ func (n *Netlist) DataStorages() []*Storage {
 	return out
 }
 
+// InsnStorage returns the storage of the instruction memory, or nil for a
+// model without one.
+func (n *Netlist) InsnStorage() *Storage {
+	var insn *Storage
+	for _, s := range n.Seq {
+		if s.Insn {
+			insn = s
+		}
+	}
+	return insn
+}
+
 // ModeStorages returns the mode-register storages.
 func (n *Netlist) ModeStorages() []*Storage {
 	var out []*Storage

@@ -106,15 +106,8 @@ type Entry struct {
 // entry; they share the handle's session pool instead of allocating a
 // fresh encoding session per request.
 func (e *Entry) Compile(ctx context.Context, src string, opts core.CompileOptions) (*core.CompileResult, error) {
-	if e.compiler != nil {
-		return e.compiler.CompileSourceOpts(ctx, src, opts)
-	}
-	return e.target.CompileSourceContext(ctx, src, opts)
+	return e.compiler.CompileSourceOpts(ctx, src, opts)
 }
-
-// Compiler exposes the entry's long-lived compile handle (nil only for a
-// target that could not back one, e.g. an unfrozen test construction).
-func (e *Entry) Compiler() *core.Compiler { return e.compiler }
 
 // Listing renders a compile result against the cached target.
 func (e *Entry) Listing(r *core.CompileResult) string {
@@ -269,15 +262,13 @@ func (c *Cache) path(key string) string {
 }
 
 // newEntry wraps a frozen target in an Entry with a pooled compile
-// handle.  A target that cannot back one (unfrozen — possible only in
-// synthetic tests) still gets an entry; Compile then falls back to the
-// per-call session path.
-func (c *Cache) newEntry(key string, t *core.Target) *Entry {
-	e := &Entry{Key: key, target: t}
-	if cc, err := core.NewCompiler(t, core.Config{Obs: c.opts.Obs}); err == nil {
-		e.compiler = cc
+// handle whose instruments land in the cache's registry.
+func (c *Cache) newEntry(key string, t *core.Target) (*Entry, error) {
+	cc, err := core.NewCompiler(t, core.Config{Obs: c.opts.Obs})
+	if err != nil {
+		return nil, err
 	}
-	return e
+	return &Entry{Key: key, target: t, compiler: cc}, nil
 }
 
 // GetContext returns the cached retarget product for (mdlSource, ropts),
@@ -407,7 +398,10 @@ func (c *Cache) fill(ctx context.Context, key, mdlSource string, ropts core.Reta
 	if err != nil {
 		return nil, Miss, err
 	}
-	entry := c.newEntry(key, t)
+	entry, err := c.newEntry(key, t)
+	if err != nil {
+		return nil, Miss, err
+	}
 	if c.opts.Dir != "" && !c.diskOff.Load() && artifact.Cacheable(t) {
 		if err := c.store(key, t, mdlSource, ropts); err != nil {
 			c.diskFail(key, err)
@@ -448,7 +442,11 @@ func (c *Cache) loadDisk(key string) *Entry {
 	if err != nil {
 		return bad(err)
 	}
-	return c.newEntry(key, t)
+	entry, err := c.newEntry(key, t)
+	if err != nil {
+		return bad(err)
+	}
+	return entry
 }
 
 // validKey reports whether key has the exact shape of a content address
@@ -647,11 +645,11 @@ func (c *Cache) Prewarm(ctx context.Context, key, mdlSource string, ropts core.R
 	t, err := core.RetargetContext(ctx, mdlSource, ropts)
 	var entry *Entry
 	if err == nil {
-		entry = c.newEntry(key, t)
-		if c.opts.Dir != "" && !c.diskOff.Load() && artifact.Cacheable(t) {
-			if serr := c.store(key, t, mdlSource, ropts); serr != nil {
-				c.diskFail(key, serr)
-			}
+		entry, err = c.newEntry(key, t)
+	}
+	if err == nil && c.opts.Dir != "" && !c.diskOff.Load() && artifact.Cacheable(t) {
+		if serr := c.store(key, t, mdlSource, ropts); serr != nil {
+			c.diskFail(key, serr)
 		}
 	}
 	c.mu.Lock()

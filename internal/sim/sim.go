@@ -53,16 +53,10 @@ func New(n *netlist.Netlist) *Simulator {
 
 // LoadProgram writes instruction words into the instruction memory.
 func (s *Simulator) LoadProgram(words []uint64) error {
-	insn := s.N.InsnInst
-	if insn == nil {
+	if s.N.InsnInst == nil {
 		return fmt.Errorf("sim: model has no instruction memory")
 	}
-	var storage *netlist.Storage
-	for _, st := range s.N.Seq {
-		if st.Insn {
-			storage = st
-		}
-	}
+	storage := s.N.InsnStorage()
 	if storage == nil {
 		return fmt.Errorf("sim: instruction part has no storage")
 	}
