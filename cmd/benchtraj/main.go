@@ -11,6 +11,9 @@
 // measured by interleaving plain and traced compiles so machine-load
 // drift cancels out of the ratio — lands in traced_overhead, which
 // -max-traced-overhead turns into a CI ceiling on the tracing tax.
+// BenchmarkTable3_<Model> lines (Table 3 retarget time) land in
+// retarget_ns_per_op keyed by model name, minimum across repeats; that
+// series is recorded, not gated.
 //
 // Usage:
 //
@@ -58,89 +61,96 @@ type Entry struct {
 	SpeedupAt16    float64            `json:"speedup_at_16,omitempty"`
 	ServerNsPerOp  map[string]float64 `json:"server_ns_per_op,omitempty"`
 	CompileNsPerOp map[string]float64 `json:"compile_ns_per_op,omitempty"`
-	TracedOverhead float64            `json:"traced_overhead,omitempty"`
-	PhaseSeconds   map[string]float64 `json:"phase_seconds,omitempty"`
+	// RetargetNsPerOp is the Table 3 retarget time per bundled model.
+	RetargetNsPerOp map[string]float64 `json:"retarget_ns_per_op,omitempty"`
+	TracedOverhead  float64            `json:"traced_overhead,omitempty"`
+	PhaseSeconds    map[string]float64 `json:"phase_seconds,omitempty"`
 }
 
 // errNoBench marks input that contained no benchmark lines — fatal on its
 // own, tolerated when a phase trace supplies the entry's payload instead.
-var errNoBench = errors.New("benchtraj: no BenchmarkParallelCompile, BenchmarkServerCompile or BenchmarkCompile{Baseline,Traced,TracedOverhead} lines in input")
+var errNoBench = errors.New("benchtraj: no BenchmarkParallelCompile, BenchmarkServerCompile, BenchmarkCompile{Baseline,Traced,TracedOverhead} or BenchmarkTable3_* lines in input")
 
-var (
-	benchLine    = regexp.MustCompile(`^BenchmarkParallelCompile(\d+)\S*\s+\d+\s+([\d.]+) ns/op`)
-	serverLine   = regexp.MustCompile(`^BenchmarkServerCompile(\w*)\S*\s+\d+\s+([\d.]+) ns/op`)
-	compileLine  = regexp.MustCompile(`^BenchmarkCompile(Baseline|Traced)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op`)
-	overheadLine = regexp.MustCompile(`^BenchmarkCompileTracedOverhead\S*\s+\d+\s+[\d.]+ ns/op\s+([\d.]+) overhead`)
-)
+var overheadLine = regexp.MustCompile(`^BenchmarkCompileTracedOverhead\S*\s+\d+\s+[\d.]+ ns/op\s+([\d.]+) overhead`)
 
-// serverKeys maps BenchmarkServerCompile<Suffix> onto trajectory keys.
-var serverKeys = map[string]string{"": "base", "Shed": "shed", "QoS": "qos"}
+// series routes one family of ns/op benchmark lines into an Entry map.
+// The first submatch is the benchmark suffix, renamed through keys (an
+// unknown suffix keeps its own name); the second is ns/op.  keepMin keeps
+// the minimum across repeated lines, so CI can run the family with
+// -count N and record the noise-free floor rather than whichever single
+// run the scheduler disturbed; otherwise the last line wins.
+var series = []struct {
+	line    *regexp.Regexp
+	dst     func(*Entry) *map[string]float64
+	keys    map[string]string
+	keepMin bool
+}{
+	{regexp.MustCompile(`^BenchmarkParallelCompile(\d+)\S*\s+\d+\s+([\d.]+) ns/op`),
+		func(e *Entry) *map[string]float64 { return &e.NsPerOp }, nil, false},
+	{regexp.MustCompile(`^BenchmarkServerCompile(\w*)\S*\s+\d+\s+([\d.]+) ns/op`),
+		func(e *Entry) *map[string]float64 { return &e.ServerNsPerOp },
+		map[string]string{"": "base", "Shed": "shed", "QoS": "qos"}, false},
+	{regexp.MustCompile(`^BenchmarkCompile(Baseline|Traced)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op`),
+		func(e *Entry) *map[string]float64 { return &e.CompileNsPerOp },
+		map[string]string{"Baseline": "base", "Traced": "traced"}, true},
+	{regexp.MustCompile(`^BenchmarkTable3_(\w+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op`),
+		func(e *Entry) *map[string]float64 { return &e.RetargetNsPerOp },
+		map[string]string{"Demo": "demo", "Ref": "ref", "ManoCPU": "manocpu",
+			"Tanenbaum": "tanenbaum", "BassBoost": "bass_boost", "TMS320C25": "tms320c25"}, true},
+}
 
-// compileKeys maps BenchmarkCompile<Suffix> onto trajectory keys.
-var compileKeys = map[string]string{"Baseline": "base", "Traced": "traced"}
-
-// parse extracts worker-count → ns/op (parallel-compile lines), scenario
-// → ns/op (server-latency lines), base/traced → ns/op (single-compile
-// observability cost lines) and the interleaved traced/base overhead
-// ratio from `go test -bench` output.  The compile pair and the overhead
-// ratio keep the MINIMUM across repeated lines, so CI can run them with
-// -count N and gate on the noise-free floor rather than on whichever
-// single run the scheduler disturbed.
-func parse(r io.Reader) (ns, server, compile map[string]float64, overhead float64, err error) {
-	ns = make(map[string]float64)
-	server = make(map[string]float64)
-	compile = make(map[string]float64)
+// parse extracts the benchmark payload of one entry from `go test -bench`
+// output: worker-count → ns/op (parallel-compile lines), scenario → ns/op
+// (server-latency lines), base/traced → ns/op (single-compile
+// observability cost lines), model → ns/op (Table 3 retarget lines) and
+// the interleaved traced/base overhead ratio (minimum across repeats).
+// Series without lines stay nil.
+func parse(r io.Reader) (Entry, error) {
+	var e Entry
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := sc.Text()
 		if m := overheadLine.FindStringSubmatch(line); m != nil {
-			v, perr := strconv.ParseFloat(m[1], 64)
-			if perr != nil {
-				return nil, nil, nil, 0, fmt.Errorf("benchtraj: bad overhead in %q: %w", line, perr)
+			v, err := strconv.ParseFloat(m[1], 64)
+			if err != nil {
+				return Entry{}, fmt.Errorf("benchtraj: bad overhead in %q: %w", line, err)
 			}
-			if overhead == 0 || v < overhead {
-				overhead = v
+			if e.TracedOverhead == 0 || v < e.TracedOverhead {
+				e.TracedOverhead = v
 			}
 			continue
 		}
-		if m := benchLine.FindStringSubmatch(line); m != nil {
-			v, perr := strconv.ParseFloat(m[2], 64)
-			if perr != nil {
-				return nil, nil, nil, 0, fmt.Errorf("benchtraj: bad ns/op in %q: %w", line, perr)
+		for _, sr := range series {
+			m := sr.line.FindStringSubmatch(line)
+			if m == nil {
+				continue
 			}
-			ns[m[1]] = v
-			continue
-		}
-		if m := serverLine.FindStringSubmatch(line); m != nil {
-			key, ok := serverKeys[m[1]]
-			if !ok {
-				key = m[1] // unknown scenario: keep it under its own name
+			v, err := strconv.ParseFloat(m[2], 64)
+			if err != nil {
+				return Entry{}, fmt.Errorf("benchtraj: bad ns/op in %q: %w", line, err)
 			}
-			v, perr := strconv.ParseFloat(m[2], 64)
-			if perr != nil {
-				return nil, nil, nil, 0, fmt.Errorf("benchtraj: bad ns/op in %q: %w", line, perr)
+			key := m[1]
+			if k, ok := sr.keys[key]; ok {
+				key = k
 			}
-			server[key] = v
-			continue
-		}
-		if m := compileLine.FindStringSubmatch(line); m != nil {
-			key := compileKeys[m[1]]
-			v, perr := strconv.ParseFloat(m[2], 64)
-			if perr != nil {
-				return nil, nil, nil, 0, fmt.Errorf("benchtraj: bad ns/op in %q: %w", line, perr)
+			dst := sr.dst(&e)
+			if *dst == nil {
+				*dst = make(map[string]float64)
 			}
-			if prev, ok := compile[key]; !ok || v < prev {
-				compile[key] = v
+			if prev, ok := (*dst)[key]; !ok || !sr.keepMin || v < prev {
+				(*dst)[key] = v
 			}
+			break
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, nil, nil, 0, err
+		return Entry{}, err
 	}
-	if len(ns) == 0 && len(server) == 0 && len(compile) == 0 && overhead == 0 {
-		return nil, nil, nil, 0, errNoBench
+	if e.NsPerOp == nil && e.ServerNsPerOp == nil && e.CompileNsPerOp == nil &&
+		e.RetargetNsPerOp == nil && e.TracedOverhead == 0 {
+		return Entry{}, errNoBench
 	}
-	return ns, server, compile, overhead, nil
+	return e, nil
 }
 
 // parsePhaseTrace sums span durations per name from a Chrome trace_event
@@ -309,7 +319,7 @@ func gateTracedOverhead(path, spec string) error {
 }
 
 func run(in io.Reader, outPath, label, tracePath string) error {
-	ns, server, compile, overhead, err := parse(in)
+	e, err := parse(in)
 	if err != nil {
 		// A run that only records phase timings has no bench lines to
 		// parse; any other parse failure is still fatal.
@@ -317,17 +327,8 @@ func run(in io.Reader, outPath, label, tracePath string) error {
 			return err
 		}
 	}
-	e := Entry{Label: label, NsPerOp: ns, ServerNsPerOp: server,
-		CompileNsPerOp: compile, TracedOverhead: overhead}
-	if len(e.NsPerOp) == 0 {
-		e.NsPerOp = nil
-	}
-	if len(e.ServerNsPerOp) == 0 {
-		e.ServerNsPerOp = nil
-	}
-	if len(e.CompileNsPerOp) == 0 {
-		e.CompileNsPerOp = nil
-	}
+	e.Label = label
+	ns := e.NsPerOp
 	if n1, ok1 := ns["1"]; ok1 {
 		if n4, ok4 := ns["4"]; ok4 && n4 > 0 {
 			e.SpeedupAt4 = n1 / n4

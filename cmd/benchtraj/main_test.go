@@ -32,10 +32,11 @@ ok  	repro	5.234s
 `
 
 func TestParse(t *testing.T) {
-	ns, server, compile, overhead, err := parse(strings.NewReader(sample))
+	e, err := parse(strings.NewReader(sample))
 	if err != nil {
 		t.Fatal(err)
 	}
+	ns, server, compile, overhead := e.NsPerOp, e.ServerNsPerOp, e.CompileNsPerOp, e.TracedOverhead
 	if len(ns) != 6 || ns["1"] != 527672 || ns["8"] != 1493683 || ns["32"] != 1892411 {
 		t.Fatalf("parsed %v", ns)
 	}
@@ -53,19 +54,47 @@ func TestParse(t *testing.T) {
 }
 
 func TestParseRejectsEmpty(t *testing.T) {
-	if _, _, _, _, err := parse(strings.NewReader("PASS\n")); err == nil {
+	if _, err := parse(strings.NewReader("PASS\n")); err == nil {
 		t.Fatal("no error for input without benchmark lines")
 	}
 }
 
 func TestParseServerOnly(t *testing.T) {
 	in := "BenchmarkServerCompile-4 	 50 	 353216 ns/op\nPASS\n"
-	ns, server, _, _, err := parse(strings.NewReader(in))
+	e, err := parse(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ns) != 0 || server["base"] != 353216 {
-		t.Fatalf("ns=%v server=%v", ns, server)
+	if e.NsPerOp != nil || e.RetargetNsPerOp != nil || e.ServerNsPerOp["base"] != 353216 {
+		t.Fatalf("ns=%v server=%v retarget=%v", e.NsPerOp, e.ServerNsPerOp, e.RetargetNsPerOp)
+	}
+}
+
+// TestParseRetarget: Table 3 lines land in retarget_ns_per_op under the
+// model name, keeping the minimum across -count repeats.
+func TestParseRetarget(t *testing.T) {
+	in := `BenchmarkTable3_Ref-2         	      16	  89532114 ns/op	30512345 B/op	  312345 allocs/op
+BenchmarkTable3_TMS320C25-2   	     783	   1581234 ns/op	  738123 B/op	    9876 allocs/op
+BenchmarkTable3_Ref-2         	      18	  62714990 ns/op	20412345 B/op	  212345 allocs/op
+BenchmarkTable3_TMS320C25-2   	     901	   1881234 ns/op	  738123 B/op	    9876 allocs/op
+BenchmarkTable3_BassBoost     	    1000	    412345 ns/op
+PASS
+`
+	e, err := parse(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{"ref": 62714990, "tms320c25": 1581234, "bass_boost": 412345}
+	if len(e.RetargetNsPerOp) != len(want) {
+		t.Fatalf("retarget series %v, want %v", e.RetargetNsPerOp, want)
+	}
+	for k, v := range want {
+		if e.RetargetNsPerOp[k] != v {
+			t.Fatalf("retarget series %v, want %v", e.RetargetNsPerOp, want)
+		}
+	}
+	if e.NsPerOp != nil || e.CompileNsPerOp != nil || e.ServerNsPerOp != nil {
+		t.Fatalf("retarget lines leaked into other series: %+v", e)
 	}
 }
 

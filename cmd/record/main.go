@@ -747,5 +747,5 @@ func printRetargetStats(stdout io.Writer, t *core.Target) {
 		s.Grammar, s.GrammarSz.RTRules+s.GrammarSz.StartRules+s.GrammarSz.StopRules,
 		s.GrammarSz.Nonterminals)
 	fmt.Fprintf(stdout, "  parser generation           %v\n", s.ParserGen)
-	fmt.Fprintf(stdout, "  freeze (bake encode tables) %v\n\n", s.Freeze)
+	fmt.Fprintf(stdout, "  freeze (quiescence tables)  %v\n\n", s.Freeze)
 }

@@ -34,8 +34,8 @@
 //	-qos-weights spec  per-class dispatch weights, "interactive=8,batch=1";
 //	                   clients declare a class with X-Record-Priority
 //	-prewarm d         speculative pre-warm sweep interval (0 = off);
-//	                   idle capacity retargets hot models back into memory
-//	-prewarm-top n     hot models considered per pre-warm sweep
+//	                   idle capacity retargets the 4 hottest models back
+//	                   into memory
 //	-drain-timeout d   grace for in-flight requests after SIGTERM/SIGINT
 //	-breaker-window n  per-model circuit-breaker outcome window (0 = off)
 //	-breaker-rate f    failure rate that opens a model's circuit
@@ -45,10 +45,8 @@
 //	-trace-spans n     request-tracer span ring bound; overwritten spans
 //	                   count in record_obs_spans_dropped_total
 //	-slo-targets spec  per-route latency objectives,
-//	                   "compile=500ms,retarget=60s,batch=10s"
-//	-slo-availability f  good-event fraction objective (default 0.999)
-//	-slo-fast-window d   fast burn-rate window (default 1m)
-//	-slo-slow-window d   slow burn-rate window (default 10m)
+//	                   "compile=500ms,retarget=60s,batch=10s"; 99.9% of
+//	                   events must meet them, burn rates over 1m and 10m
 //
 // Every traced request (X-Record-Trace in, echoed out) records into a
 // bounded span ring served at GET /v1/debug/spans for cmd/tracefuse.
@@ -93,15 +91,11 @@ func main() {
 	flag.IntVar(&cfg.maxQueue, "max-queue", 64, "pool-slot waiters admitted before shedding with 429 (0 = unlimited)")
 	qosWeights := flag.String("qos-weights", "", `per-class dispatch weights, e.g. "interactive=8,batch=1"`)
 	flag.DurationVar(&cfg.prewarmEvery, "prewarm", 0, "speculative pre-warm sweep interval (0 = off)")
-	flag.IntVar(&cfg.prewarmTop, "prewarm-top", 4, "hot models considered per pre-warm sweep")
 	flag.IntVar(&cfg.brkWindow, "breaker-window", 8, "per-model circuit-breaker outcome window (0 = breaker off)")
 	flag.Float64Var(&cfg.brkRate, "breaker-rate", 0.5, "failure rate that opens a model's circuit")
 	flag.DurationVar(&cfg.brkCooldown, "breaker-cooldown", 10*time.Second, "circuit open -> half-open probe cooldown")
 	flag.IntVar(&cfg.traceSpans, "trace-spans", 4096, "request-tracer span ring bound")
 	sloTargets := flag.String("slo-targets", "", `per-route latency objectives, e.g. "compile=500ms,retarget=60s"`)
-	flag.Float64Var(&cfg.sloAvailability, "slo-availability", 0, "SLO good-event fraction objective (0 = 0.999)")
-	flag.DurationVar(&cfg.sloFastWindow, "slo-fast-window", 0, "fast burn-rate window (0 = 1m)")
-	flag.DurationVar(&cfg.sloSlowWindow, "slo-slow-window", 0, "slow burn-rate window (0 = 10m)")
 	flag.Parse()
 
 	if *sloTargets != "" {
@@ -160,7 +154,7 @@ func main() {
 	defer stop()
 	if s.cfg.prewarmEvery > 0 {
 		go s.prewarmLoop(ctx)
-		fmt.Printf("recordd pre-warm every %v (top %d hot models)\n", s.cfg.prewarmEvery, s.cfg.prewarmTop)
+		fmt.Printf("recordd pre-warm every %v (top %d hot models)\n", s.cfg.prewarmEvery, prewarmTop)
 	}
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)

@@ -40,19 +40,24 @@ type serverConfig struct {
 
 	qosWeights   [qos.NumClasses]int // per-class dispatch weights (0 = qos defaults)
 	prewarmEvery time.Duration       // speculative pre-warm sweep interval (0 = off)
-	prewarmTop   int                 // hot models considered per sweep
 
 	nodeID string // fleet identity: /healthz field + node metric label
 
 	traceSpans int // span-ring bound for the request tracer (0 = default)
 
-	sloTargets      map[string]time.Duration // per-route latency objectives (nil = defaults)
-	sloAvailability float64                  // good-event fraction objective (0 = default)
-	sloFastWindow   time.Duration            // fast burn window (0 = default)
-	sloSlowWindow   time.Duration            // slow burn window (0 = default)
+	sloTargets map[string]time.Duration // per-route latency objectives (nil = defaults)
 
 	brkClock func() time.Time // injectable breaker clock (tests); nil = time.Now
 }
+
+// Fixed service tuning: the SLO good-event objective and burn-rate
+// windows, and the hot models each pre-warm sweep considers.
+const (
+	sloAvailability = 0.999
+	sloFastWindow   = time.Minute
+	sloSlowWindow   = 10 * time.Minute
+	prewarmTop      = 4
+)
 
 // defaultSLOTargets are the per-route latency objectives: a compile
 // should be interactive, a retarget may legitimately run the full
@@ -78,20 +83,11 @@ func (c serverConfig) withDefaults() serverConfig {
 	if c.nodeID == "" {
 		c.nodeID = "recordd"
 	}
-	if c.prewarmTop <= 0 {
-		c.prewarmTop = 4
-	}
 	if c.traceSpans <= 0 {
 		c.traceSpans = 4096
 	}
 	if c.sloTargets == nil {
 		c.sloTargets = defaultSLOTargets()
-	}
-	if c.sloFastWindow <= 0 {
-		c.sloFastWindow = time.Minute
-	}
-	if c.sloSlowWindow <= 0 {
-		c.sloSlowWindow = 10 * time.Minute
 	}
 	return c
 }
@@ -178,9 +174,9 @@ func newServer(cfg serverConfig) (*server, error) {
 		tracer:  tracer,
 		slo: obs.NewSLOTracker(reg, "record_recordd_slo", obs.SLOConfig{
 			Targets:      cfg.sloTargets,
-			Availability: cfg.sloAvailability,
-			FastWindow:   cfg.sloFastWindow,
-			SlowWindow:   cfg.sloSlowWindow,
+			Availability: sloAvailability,
+			FastWindow:   sloFastWindow,
+			SlowWindow:   sloSlowWindow,
 		}),
 		gInflight: reg.Gauge("record_recordd_inflight_compiles",
 			"compiles currently executing"),
@@ -228,7 +224,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		s.prewarmer = &qos.Prewarmer{
 			Sched:  s.sched,
 			Pop:    s.pop,
-			Top:    cfg.prewarmTop,
+			Top:    prewarmTop,
 			IsWarm: s.cache.InMemory,
 			Warm:   s.prewarmOne,
 		}

@@ -45,17 +45,15 @@ import (
 // FormatVersion is bumped whenever the wire form changes; decoders reject
 // other versions (a stale cache file is a miss, not an error).
 //
-// Version 2 added the frozen encoding tables (per-template solo word
-// conditions) so decoded targets are born frozen without re-running the
-// freeze-time conjunction sweep.
-const FormatVersion = 2
+// Version 3 dropped the per-template word conditions baked by version 2:
+// Freeze no longer bakes them, so a decoded target freezes like a fresh one.
+const FormatVersion = 3
 
 // magic heads every encoded artifact, followed by the payload checksum.
 const magic = "recordart"
 
-// TemplateEnc is the wire form of one RT template.  Static and Solo are
-// bdd.Exporter serial ids: the raw execution condition and the frozen
-// single-instruction word condition Freeze baked from it.
+// TemplateEnc is the wire form of one RT template.  Static is the
+// bdd.Exporter serial id of its execution condition.
 type TemplateEnc struct {
 	ID        int         `json:"id"`
 	Dest      string      `json:"dest"`
@@ -63,7 +61,6 @@ type TemplateEnc struct {
 	DestAddr  *rtl.Expr   `json:"dest_addr,omitempty"`
 	Src       *rtl.Expr   `json:"src"`
 	Static    int         `json:"static"`
-	Solo      int         `json:"solo"`
 	Dynamic   []*rtl.Expr `json:"dynamic,omitempty"`
 	Width     int         `json:"width"`
 	Synthetic bool        `json:"synthetic,omitempty"`
@@ -216,7 +213,6 @@ func New(t *core.Target, mdlSource string, opts core.RetargetOptions) (*Artifact
 			DestAddr:  tm.DestAddr,
 			Src:       tm.Src,
 			Static:    ex.Export(tm.Cond.Static),
-			Solo:      ex.Export(t.Encoder.SoloCond(tm)),
 			Dynamic:   tm.Cond.Dynamic,
 			Width:     tm.Width,
 			Synthetic: tm.Synthetic,
@@ -321,14 +317,10 @@ func (a *Artifact) Target() (*core.Target, error) {
 	}
 
 	templates := make([]*rtl.Template, len(a.Templates))
-	solo := make([]*bdd.Node, len(a.Templates))
 	for i, te := range a.Templates {
 		static, err := im.Node(te.Static)
 		if err != nil {
 			return nil, fmt.Errorf("artifact: template %d: %w", te.ID, err)
-		}
-		if solo[i], err = im.Node(te.Solo); err != nil {
-			return nil, fmt.Errorf("artifact: template %d solo condition: %w", te.ID, err)
 		}
 		templates[i] = &rtl.Template{
 			ID:        te.ID,
@@ -385,11 +377,7 @@ func (a *Artifact) Target() (*core.Target, error) {
 		}
 	}
 	enc := asm.NewEncoder(vars, base, background...)
-	// Decoded targets are born frozen: the expensive solo conditions come
-	// from the wire, only quiescence negations and the NOP are rebuilt.
-	if err := enc.FreezeWithSolo(solo); err != nil {
-		return nil, fmt.Errorf("artifact: %w", err)
-	}
+	enc.Freeze()
 	t := &core.Target{
 		Name:         a.Name,
 		Model:        model,

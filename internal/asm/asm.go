@@ -24,9 +24,9 @@ import (
 
 // Encoder encodes instruction words for one extracted machine.
 //
-// Freeze bakes the per-template encoding tables and freezes the shared BDD
-// manager, after which the Encoder is immutable and any number of Sessions
-// may encode concurrently.  Sessions exist only after Freeze.
+// Freeze bakes the per-storage quiescence tables and freezes the shared
+// BDD manager, after which the Encoder is immutable and any number of
+// Sessions may encode concurrently.  Sessions exist only after Freeze.
 type Encoder struct {
 	Vars *ise.VarMap
 	Base *rtl.Base
@@ -43,12 +43,6 @@ type Encoder struct {
 	frozen      bool
 	storageList []string    // sorted quiesce keys
 	notQuiesce  []*bdd.Node // ¬quiesce[storageList[i]]
-	// solo[t] is t's full single-instruction word condition: its static
-	// execution condition conjoined with quiescence of every other
-	// suppressible storage.  Encoding the common case (one RT per word,
-	// and every word under -no-compaction) is then one cube conjunction
-	// and a satisfiability walk — no shared-state mutation at all.
-	solo map[*rtl.Template]*bdd.Node
 	// nop is the baked quiescent instruction word; nopErr records a
 	// machine without one.
 	nop    uint64
@@ -101,13 +95,12 @@ func (e *Encoder) storages() []string {
 // ModeReq is a required mode-register state: storage name → bit values.
 type ModeReq map[string]int64
 
-// Freeze bakes the read-only encoding tables — per-template solo word
-// conditions, negated quiescence conditions in sorted storage order, the
-// NOP word — and freezes the BDD manager.  After Freeze the Encoder never
-// mutates shared state: every residual BDD operation a Session performs
-// runs through a private copy-on-write view, so any number of Sessions
-// may encode concurrently.  Freeze is idempotent and must be the last
-// manager-mutating step of a retarget.
+// Freeze bakes the read-only encoding tables — negated quiescence
+// conditions in sorted storage order and the NOP word — and freezes the
+// BDD manager.  After Freeze the Encoder never mutates shared state: every
+// BDD operation a Session performs runs through a private copy-on-write
+// view, so any number of Sessions may encode concurrently.  Freeze is
+// idempotent and must be the last manager-mutating step of a retarget.
 func (e *Encoder) Freeze() {
 	if e.frozen {
 		return
@@ -117,17 +110,6 @@ func (e *Encoder) Freeze() {
 	for i, s := range e.storageList {
 		e.notQuiesce[i] = e.m.Not(e.quiesce[s])
 	}
-	e.solo = make(map[*rtl.Template]*bdd.Node, e.Base.Len())
-	for _, t := range e.Base.Templates {
-		cond := t.Cond.Static
-		for i, s := range e.storageList {
-			if !t.DestPort && s == t.Dest {
-				continue
-			}
-			cond = e.m.And(cond, e.notQuiesce[i])
-		}
-		e.solo[t] = cond
-	}
 	e.nop, e.nopErr = e.nopWord()
 	e.frozen = true
 	e.m.Freeze()
@@ -135,47 +117,6 @@ func (e *Encoder) Freeze() {
 
 // Frozen reports whether Freeze has run.
 func (e *Encoder) Frozen() bool { return e.frozen }
-
-// SoloCond returns the baked single-instruction word condition of a
-// template, or nil before Freeze.  internal/artifact serializes these so
-// decoded targets skip the conjunction sweep.
-func (e *Encoder) SoloCond(t *rtl.Template) *bdd.Node {
-	if !e.frozen {
-		return nil
-	}
-	return e.solo[t]
-}
-
-// FreezeWithSolo freezes the encoder installing pre-baked solo word
-// conditions (aligned with Base.Templates, e.g. decoded from an artifact)
-// instead of recomputing them; only the cheap per-storage quiescence
-// negations and the NOP word are rebuilt.  The conditions must denote the
-// same Boolean functions Freeze would compute — BDD canonicity then makes
-// encodings from restored and fresh targets byte-identical.
-func (e *Encoder) FreezeWithSolo(solo []*bdd.Node) error {
-	if e.frozen {
-		return nil
-	}
-	if len(solo) != len(e.Base.Templates) {
-		return fmt.Errorf("asm: %d solo conditions for %d templates", len(solo), len(e.Base.Templates))
-	}
-	e.storageList = e.storages()
-	e.notQuiesce = make([]*bdd.Node, len(e.storageList))
-	for i, s := range e.storageList {
-		e.notQuiesce[i] = e.m.Not(e.quiesce[s])
-	}
-	e.solo = make(map[*rtl.Template]*bdd.Node, e.Base.Len())
-	for i, t := range e.Base.Templates {
-		if solo[i] == nil {
-			return fmt.Errorf("asm: nil solo condition for template %d", t.ID)
-		}
-		e.solo[t] = solo[i]
-	}
-	e.nop, e.nopErr = e.nopWord()
-	e.frozen = true
-	e.m.Freeze()
-	return nil
-}
 
 // Session is one encoding session against a frozen encoder.  Sessions are
 // independent and may run concurrently; one Session must not be shared
@@ -225,57 +166,43 @@ func (e *Encoder) NewSessionObs(scope *obs.Scope) *Session {
 // bit cubes, and quiescence of every untouched storage.
 func (s *Session) WordCond(instrs []*code.Instr) (*bdd.Node, error) {
 	e := s.e
-	var cond *bdd.Node
-	if len(instrs) == 1 {
-		// Baked fast path: the solo condition already conjoins the static
-		// condition with quiescence of every other storage.  A false solo
-		// condition falls through to the slow path for a precise error.
-		if c, ok := e.solo[instrs[0].Template]; ok && c != e.m.False() {
-			cond = c
-		}
+	c := s.view.True()
+	for _, in := range instrs {
+		c = s.view.And(c, in.Template.Cond.Static)
 	}
-	if cond == nil {
-		c := s.view.True()
-		intended := make(map[string]bool)
-		for _, in := range instrs {
-			c = s.view.And(c, in.Template.Cond.Static)
-			if !in.Template.DestPort {
-				intended[in.Template.Dest] = true
-			}
-		}
-		if c == s.view.False() {
-			return nil, fmt.Errorf("asm: conflicting execution conditions (instruction encoding conflict)")
-		}
-		lits, err := s.fieldLits(instrs)
-		if err != nil {
-			return nil, err
-		}
-		c = s.view.And(c, s.view.CubeLits(lits))
-		if c == s.view.False() {
-			return nil, fmt.Errorf("asm: operand fields contradict execution conditions")
-		}
-		// Quiescence for untouched storages, in sorted storage order.
-		for i, st := range e.storageList {
-			if intended[st] {
-				continue
-			}
-			c = s.view.And(c, e.notQuiesce[i])
-			if c == s.view.False() {
-				return nil, fmt.Errorf("asm: cannot encode word without disturbing %s", st)
-			}
-		}
-		return c, nil
+	if c == s.view.False() {
+		return nil, fmt.Errorf("asm: conflicting execution conditions (instruction encoding conflict)")
 	}
-	// Fast path: solo condition plus the operand-field cube.
 	lits, err := s.fieldLits(instrs)
 	if err != nil {
 		return nil, err
 	}
-	cond = s.view.And(cond, s.view.CubeLits(lits))
-	if cond == s.view.False() {
+	c = s.view.And(c, s.view.CubeLits(lits))
+	if c == s.view.False() {
 		return nil, fmt.Errorf("asm: operand fields contradict execution conditions")
 	}
-	return cond, nil
+	// Quiescence for untouched storages, in sorted storage order.
+	for i, st := range e.storageList {
+		if writes(instrs, st) {
+			continue
+		}
+		c = s.view.And(c, e.notQuiesce[i])
+		if c == s.view.False() {
+			return nil, fmt.Errorf("asm: cannot encode word without disturbing %s", st)
+		}
+	}
+	return c, nil
+}
+
+// writes reports whether an instruction of the word deliberately writes
+// storage st (port drives write no storage).
+func writes(instrs []*code.Instr, st string) bool {
+	for _, in := range instrs {
+		if !in.Template.DestPort && in.Template.Dest == st {
+			return true
+		}
+	}
+	return false
 }
 
 // fieldLits collects the instruction bits pinned by operand fields as a

@@ -40,6 +40,10 @@ type View struct {
 	unique  map[triple]*Node
 	iteMemo map[triple]*Node
 	nextID  int
+	// baseN is the frozen manager's node count: ids below it are base
+	// nodes, so a key holding any id at or above it is overlay-only and
+	// the frozen tables need not be probed for it.
+	baseN int
 }
 
 // NewView returns a fresh copy-on-write overlay.  The manager must be
@@ -48,7 +52,7 @@ func (m *Manager) NewView() *View {
 	if !m.frozen {
 		panic(InvariantError("bdd: NewView on unfrozen manager (call Freeze first)"))
 	}
-	return &View{base: m, nextID: len(m.nodes)}
+	return &View{base: m, nextID: len(m.nodes), baseN: len(m.nodes)}
 }
 
 // True returns the constant-true node of the underlying manager.
@@ -64,8 +68,10 @@ func (v *View) mk(va int, lo, hi *Node) *Node {
 		return lo
 	}
 	key := triple{va, lo.id, hi.id}
-	if n, ok := v.base.unique[key]; ok {
-		return n
+	if lo.id < v.baseN && hi.id < v.baseN {
+		if n, ok := v.base.unique[key]; ok {
+			return n
+		}
 	}
 	if n, ok := v.unique[key]; ok {
 		return n
@@ -94,8 +100,10 @@ func (v *View) Ite(f, g, h *Node) *Node {
 		return f
 	}
 	key := triple{f.id, g.id, h.id}
-	if r, ok := m.iteMemo[key]; ok {
-		return r
+	if f.id < v.baseN && g.id < v.baseN && h.id < v.baseN {
+		if r, ok := m.iteMemo[key]; ok {
+			return r
+		}
 	}
 	if r, ok := v.iteMemo[key]; ok {
 		return r

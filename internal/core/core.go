@@ -79,7 +79,7 @@ type RetargetStats struct {
 	Extension  time.Duration // template-base extension
 	Grammar    time.Duration // tree grammar construction
 	ParserGen  time.Duration // parser generation (tables + optional source)
-	Freeze     time.Duration // baking the read-only encoding tables
+	Freeze     time.Duration // quiescence tables, NOP word, BDD manager freeze
 	Total      time.Duration
 	Extracted  int // templates delivered by ISE
 	Templates  int // templates after extension (the paper's column 2)
@@ -89,8 +89,8 @@ type RetargetStats struct {
 
 // Target is a retargeted compiler instance for one processor model.
 //
-// RetargetContext returns the Target frozen: the encoder's per-template
-// encoding tables are baked and the shared BDD manager is read-only, so
+// RetargetContext returns the Target frozen: the encoder's per-storage
+// quiescence tables are baked and the shared BDD manager is read-only, so
 // compiles touch no shared mutable state and any number of goroutines may
 // compile against one Target concurrently.  Degraded (partial) targets are
 // frozen too — freezing is about reentrancy, cacheability is a separate
@@ -291,10 +291,10 @@ func RetargetContext(ctx context.Context, mdlSource string, opts RetargetOptions
 	t.Stats.ParserGen = time.Since(phase)
 	phaseSec.With("burs").Observe(t.Stats.ParserGen.Seconds())
 
-	// Freeze: bake the per-template encoding tables and mark the BDD
-	// manager read-only, making the Target safe for concurrent compiles.
-	// This is the last manager-mutating step; it runs for degraded targets
-	// too (frozen ≠ cacheable).
+	// Freeze: bake the per-storage quiescence tables and the NOP word and
+	// mark the BDD manager read-only, making the Target safe for
+	// concurrent compiles.  This is the last manager-mutating step; it
+	// runs for degraded targets too (frozen ≠ cacheable).
 	phase = time.Now()
 	fzSpan, _ := scope.Start("freeze")
 	err = diag.Guard(rep, "freeze", func() error {

@@ -5,13 +5,16 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
 
+	"repro/internal/artifact"
 	"repro/internal/core"
 	"repro/internal/diag"
+	"repro/internal/dspstone"
 	"repro/internal/faultpoint"
 	"repro/internal/models"
 )
@@ -151,6 +154,58 @@ func TestCorruptAndTruncatedArtifacts(t *testing.T) {
 				t.Fatalf("store not repaired: %v %s", err, out)
 			}
 		})
+	}
+}
+
+// TestStaleFormatVersionIsMiss stores a validly framed version-2 artifact
+// (header and checksum intact) under the current content address: the
+// cache must treat it as a miss, retarget, and compile the same words as a
+// fresh target.
+func TestStaleFormatVersionIsMiss(t *testing.T) {
+	mdl := demoModel(t)
+	ropts := core.RetargetOptions{}
+	k, _ := dspstone.Get("dot_product")
+	fresh, err := core.RetargetContext(context.Background(), mdl, ropts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.CompileSourceContext(context.Background(), k.Source, core.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	a, err := artifact.New(fresh, mdl, ropts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Format = 2 // Encode frames the payload with a.Format in the header
+	data, err := a.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	c := newCache(t, dir, 0)
+	if err := os.WriteFile(filepath.Join(dir, c.Key(mdl, ropts)+".rart"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e, out, err := c.GetContext(context.Background(), mdl, ropts)
+	if err != nil {
+		t.Fatalf("stale artifact became an error: %v", err)
+	}
+	if out != Miss || c.Stats().Retargets != 1 {
+		t.Fatalf("stale artifact: %s after %d retargets, want miss after 1", out, c.Stats().Retargets)
+	}
+	got, err := e.Compile(context.Background(), k.Source, core.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Words(), want.Words()) {
+		t.Fatalf("words after stale miss differ from a fresh target:\n got %x\nwant %x", got.Words(), want.Words())
+	}
+	// The retarget replaced the stale file with a current one.
+	if _, out, err := newCache(t, dir, 0).GetContext(context.Background(), mdl, ropts); err != nil || out != Disk {
+		t.Fatalf("stale file not replaced: %v %s", err, out)
 	}
 }
 
