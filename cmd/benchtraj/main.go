@@ -38,6 +38,12 @@
 //
 // When -phase-trace is given, bench input is optional: an entry with only
 // phase_seconds is still recorded.
+//
+// Every new entry carries the shape of the host that appended it — CPU
+// count, GOMAXPROCS, CPU model and Go version — so that timings are only
+// ever compared with timings from the same kind of machine:
+//
+//	"host": {"nproc": 2, "gomaxprocs": 2, "cpu": "Intel(R) Xeon(R) ...", "go": "go1.24.0"}
 package main
 
 import (
@@ -50,7 +56,9 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strconv"
+	"strings"
 )
 
 // Entry is one benchmark run in the trajectory.
@@ -65,6 +73,45 @@ type Entry struct {
 	RetargetNsPerOp map[string]float64 `json:"retarget_ns_per_op,omitempty"`
 	TracedOverhead  float64            `json:"traced_overhead,omitempty"`
 	PhaseSeconds    map[string]float64 `json:"phase_seconds,omitempty"`
+	// Host is the machine the entry was measured on; entries written
+	// before hosts were recorded have none.
+	Host *Host `json:"host,omitempty"`
+}
+
+// Host is the shape of the machine an entry was measured on.
+type Host struct {
+	NumCPU     int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	CPU        string `json:"cpu"`
+	Go         string `json:"go"`
+}
+
+// thisHost returns the shape of the machine benchtraj runs on, which in CI
+// is the machine that just ran the benchmarks.
+func thisHost() *Host {
+	return &Host{
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		CPU:        cpuModel(),
+		Go:         runtime.Version(),
+	}
+}
+
+// cpuModel reads the CPU model name from /proc/cpuinfo, falling back to the
+// architecture where that file does not exist.
+func cpuModel() string {
+	f, err := os.Open("/proc/cpuinfo")
+	if err != nil {
+		return runtime.GOARCH
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if k, v, ok := strings.Cut(sc.Text(), ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return runtime.GOARCH
 }
 
 // errNoBench marks input that contained no benchmark lines — fatal on its
@@ -328,6 +375,7 @@ func run(in io.Reader, outPath, label, tracePath string) error {
 		}
 	}
 	e.Label = label
+	e.Host = thisHost()
 	ns := e.NsPerOp
 	if n1, ok1 := ns["1"]; ok1 {
 		if n4, ok4 := ns["4"]; ok4 && n4 > 0 {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -132,6 +133,38 @@ func TestRunAppends(t *testing.T) {
 	}
 	if entries[0].TracedOverhead != 1.012 {
 		t.Fatalf("traced_overhead not persisted: %+v", entries[0])
+	}
+}
+
+// TestRunRecordsHost checks that a new entry carries the host shape and
+// that appending leaves older entries without one untouched.
+func TestRunRecordsHost(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trajectory.json")
+	old := `[{"label": "old", "ns_per_op": {"1": 5}}]`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(strings.NewReader(sample), path, "new", ""); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entries []Entry
+	if err := json.Unmarshal(data, &entries); err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 || entries[0].Host != nil {
+		t.Fatalf("old entry gained a host: %s", data)
+	}
+	h := entries[1].Host
+	if h == nil || h.NumCPU != runtime.NumCPU() || h.GOMAXPROCS != runtime.GOMAXPROCS(0) ||
+		h.Go != runtime.Version() || h.CPU == "" {
+		t.Fatalf("new entry host = %+v", h)
+	}
+	if !strings.Contains(string(data), `"nproc"`) || !strings.Contains(string(data), `"gomaxprocs"`) {
+		t.Fatalf("host fields not in the file:\n%s", data)
 	}
 }
 

@@ -2,6 +2,7 @@ package burs
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/grammar"
@@ -27,10 +28,18 @@ func EmitGo(g *grammar.Grammar, pkg string) string {
 	b.WriteString("// Rule describes one grammar rule in prefix pattern form.\n")
 	b.WriteString("type Rule struct {\n\tID   int\n\tLHS  int\n\tCost int\n\tPat  string\n\tKind string\n}\n\n")
 
+	// Each rule line is appended into one reused buffer, the pattern into
+	// another: grammars run to thousands of rules.
 	b.WriteString("// Rules is the generated rule table.\nvar Rules = []Rule{\n")
+	var line, pat []byte
 	for _, r := range g.Rules {
-		fmt.Fprintf(&b, "\t{ID: %d, LHS: %d, Cost: %d, Pat: %q, Kind: %q},\n",
-			r.ID, r.LHS, r.Cost, prefixPat(r.Pat), r.Kind.String())
+		line = strconv.AppendInt(append(line[:0], "\t{ID: "...), int64(r.ID), 10)
+		line = strconv.AppendInt(append(line, ", LHS: "...), int64(r.LHS), 10)
+		line = strconv.AppendInt(append(line, ", Cost: "...), int64(r.Cost), 10)
+		pat = appendPrefixPat(pat[:0], r.Pat)
+		line = strconv.AppendQuote(append(line, ", Pat: "...), string(pat))
+		line = strconv.AppendQuote(append(line, ", Kind: "...), r.Kind.String())
+		b.Write(append(line, "},\n"...))
 	}
 	b.WriteString("}\n\n")
 
@@ -63,29 +72,42 @@ func (l *Labels) Record(lhs int, c int32, id int) bool {
 	return b.String()
 }
 
-// prefixPat renders a pattern in compact prefix form for the emitted table.
-func prefixPat(p *grammar.Pat) string {
+// appendPrefixPat appends p in compact prefix form for the emitted table.
+func appendPrefixPat(dst []byte, p *grammar.Pat) []byte {
 	switch p.Kind {
 	case grammar.PatNT:
-		return fmt.Sprintf("nt%d", p.NT)
+		return strconv.AppendInt(append(dst, "nt"...), int64(p.NT), 10)
 	case grammar.PatOp:
-		parts := make([]string, len(p.Kids))
+		dst = append(dst, p.Op...)
+		dst = strconv.AppendInt(append(dst, '/'), int64(p.Width), 10)
+		dst = append(dst, '(')
 		for i, k := range p.Kids {
-			parts[i] = prefixPat(k)
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendPrefixPat(dst, k)
 		}
-		return fmt.Sprintf("%s/%d(%s)", p.Op, p.Width, strings.Join(parts, ","))
+		return append(dst, ')')
 	case grammar.PatReg:
-		return "reg:" + p.Storage
+		return append(append(dst, "reg:"...), p.Storage...)
 	case grammar.PatMem:
-		return fmt.Sprintf("mem:%s(%s)", p.Storage, prefixPat(p.Kids[0]))
+		dst = append(append(append(dst, "mem:"...), p.Storage...), '(')
+		return append(appendPrefixPat(dst, p.Kids[0]), ')')
 	case grammar.PatImm:
-		return fmt.Sprintf("imm[%d:%d]", p.ImmHi, p.ImmLo)
+		return append(appendBits(append(dst, "imm["...), p.ImmHi, p.ImmLo), ']')
 	case grammar.PatConst:
-		return fmt.Sprintf("const:%d", p.Val)
+		return strconv.AppendInt(append(dst, "const:"...), p.Val, 10)
 	case grammar.PatPort:
-		return "port:" + p.Port
+		return append(append(dst, "port:"...), p.Port...)
 	case grammar.PatSlice:
-		return fmt.Sprintf("slice[%d:%d](%s)", p.Hi, p.Lo, prefixPat(p.Kids[0]))
+		dst = append(appendBits(append(dst, "slice["...), p.Hi, p.Lo), "]("...)
+		return append(appendPrefixPat(dst, p.Kids[0]), ')')
 	}
-	return "?"
+	return append(dst, '?')
+}
+
+// appendBits appends "hi:lo".
+func appendBits(dst []byte, hi, lo int) []byte {
+	dst = strconv.AppendInt(dst, int64(hi), 10)
+	return strconv.AppendInt(append(dst, ':'), int64(lo), 10)
 }

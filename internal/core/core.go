@@ -253,11 +253,12 @@ func RetargetContext(ctx context.Context, mdlSource string, opts RetargetOptions
 	phase = time.Now()
 	gSpan, gScope := scope.Start("grammar")
 	err = diag.Guard(rep, "grammar", func() error {
-		g, err := grammar.BuildObs(t.Base, grammar.SpecFromNetlist(t.Net), rep, gScope)
+		g, st, err := grammar.BuildObs(t.Base, grammar.SpecFromNetlist(t.Net), rep, gScope)
 		if err != nil {
 			return err
 		}
 		t.Grammar = g
+		t.Stats.GrammarSz = st
 		return nil
 	})
 	gSpan.End()
@@ -265,7 +266,6 @@ func RetargetContext(ctx context.Context, mdlSource string, opts RetargetOptions
 		return nil, fmt.Errorf("core: grammar construction: %w", err)
 	}
 	t.Stats.Grammar = time.Since(phase)
-	t.Stats.GrammarSz = t.Grammar.Stats()
 	phaseSec.With("grammar").Observe(t.Stats.Grammar.Seconds())
 
 	phase = time.Now()

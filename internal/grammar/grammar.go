@@ -27,6 +27,7 @@ package grammar
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/diag"
@@ -74,7 +75,7 @@ type Pat struct {
 func (p *Pat) TermKey() string {
 	switch p.Kind {
 	case PatOp:
-		return fmt.Sprintf("op:%s:%d", p.Op, p.Width)
+		return opKey(p.Op, p.Width)
 	case PatReg:
 		return "reg:" + p.Storage
 	case PatMem:
@@ -84,16 +85,27 @@ func (p *Pat) TermKey() string {
 	case PatPort:
 		return "port:" + p.Port
 	case PatSlice:
-		return fmt.Sprintf("slice:%d:%d", p.Hi, p.Lo)
+		return sliceKey(p.Hi, p.Lo)
 	}
 	return ""
+}
+
+// opKey and sliceKey are the operator and slice buckets shared by TermKey
+// and SubjectKey.  They concatenate instead of calling fmt: SubjectKey runs
+// for every subject node labelled.
+func opKey(op rtl.Op, width int) string {
+	return "op:" + string(op) + ":" + strconv.Itoa(width)
+}
+
+func sliceKey(hi, lo int) string {
+	return "slice:" + strconv.Itoa(hi) + ":" + strconv.Itoa(lo)
 }
 
 // SubjectKey returns the rule bucket a subject tree node falls into.
 func SubjectKey(e *rtl.Expr) string {
 	switch e.Kind {
 	case rtl.OpApp:
-		return fmt.Sprintf("op:%s:%d", e.Op, e.Width)
+		return opKey(e.Op, e.Width)
 	case rtl.Read:
 		if e.Addr() != nil {
 			return "mem:" + e.Storage
@@ -104,7 +116,7 @@ func SubjectKey(e *rtl.Expr) string {
 	case rtl.PortRef:
 		return "port:" + e.Port
 	case rtl.Slice:
-		return fmt.Sprintf("slice:%d:%d", e.Hi, e.Lo)
+		return sliceKey(e.Hi, e.Lo)
 	case rtl.InsnField:
 		return "#const" // fields in subject trees behave like immediates
 	}
@@ -284,17 +296,18 @@ func Build(base *rtl.Base, spec Spec) (*Grammar, error) {
 	return BuildReported(base, spec, nil)
 }
 
-// BuildObs is BuildReported with instrumentation: the finished grammar's
-// rule counts land in the scope's registry, broken down by rule kind, so
-// `record -stats` and the recordd /metrics endpoint report grammar size
-// without recomputing Stats.  scope may be nil.
-func BuildObs(base *rtl.Base, spec Spec, rep *diag.Reporter, scope *obs.Scope) (*Grammar, error) {
+// BuildObs is BuildReported with instrumentation: it computes the finished
+// grammar's Stats once and returns them, and the rule counts land in the
+// scope's registry, broken down by rule kind, so `record -stats` and the
+// recordd /metrics endpoint report grammar size without recomputing Stats.
+// scope may be nil.
+func BuildObs(base *rtl.Base, spec Spec, rep *diag.Reporter, scope *obs.Scope) (*Grammar, Stats, error) {
 	g, err := BuildReported(base, spec, rep)
 	if err != nil {
-		return nil, err
+		return nil, Stats{}, err
 	}
+	st := g.Stats()
 	if reg := scope.Registry(); reg != nil {
-		st := g.Stats()
 		rules := reg.CounterVec("record_grammar_rules_total",
 			"tree-grammar rules constructed, by rule kind", "kind")
 		rules.With("start").Add(st.StartRules)
@@ -303,13 +316,17 @@ func BuildObs(base *rtl.Base, spec Spec, rep *diag.Reporter, scope *obs.Scope) (
 		reg.Counter("record_grammar_nonterminals_total",
 			"tree-grammar nonterminals constructed").Add(st.Nonterminals)
 	}
-	return g, nil
+	return g, st, nil
 }
 
 // BuildReported is Build with degraded-mode diagnostics: a template that
 // cannot be lowered into a pattern is skipped with a warning on rep (its RT
 // simply stays unselectable) instead of failing the whole build.  The build
 // fails only when no selectable rule survives.  rep may be nil.
+//
+// Extension shares subtrees between the templates it derives, so each
+// distinct *rtl.Expr is lowered once per build and rules share the
+// resulting *Pat subtrees; grammar patterns are immutable.
 func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, error) {
 	g := &Grammar{
 		ntIdx:      make(map[string]int),
@@ -363,6 +380,7 @@ func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, err
 	}
 
 	// 2. RT rules, cost 1.
+	memo := make(map[*rtl.Expr]*Pat)
 	var skipErr error
 	skipped, rtRules := 0, 0
 	for _, t := range base.Templates {
@@ -383,7 +401,7 @@ func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, err
 		var pat *Pat
 		err := faultpoint.Hit("grammar.rule", t.Dest)
 		if err == nil {
-			pat, err = g.lower(t.Src)
+			pat, err = g.lower(t.Src, memo)
 		}
 		if err != nil {
 			err = fmt.Errorf("template %d (%s): %w", t.ID, t, err)
@@ -415,11 +433,25 @@ func BuildReported(base *rtl.Base, spec Spec, rep *diag.Reporter) (*Grammar, err
 // LowerPattern converts an RT expression pattern (such as a template's
 // destination-address pattern) into a grammar pattern; clients use it to
 // match addressing modes against subject address trees.
-func (g *Grammar) LowerPattern(e *rtl.Expr) (*Pat, error) { return g.lower(e) }
+func (g *Grammar) LowerPattern(e *rtl.Expr) (*Pat, error) { return g.lower(e, nil) }
 
 // lower converts a template source expression into a pattern per table 2 of
-// the paper.
-func (g *Grammar) lower(e *rtl.Expr) (*Pat, error) {
+// the paper.  memo, when non-nil, maps already lowered subtrees to their
+// patterns; lowering depends only on the expression and the nonterminal
+// table, so a hit is the pattern a fresh lowering would build.
+func (g *Grammar) lower(e *rtl.Expr, memo map[*rtl.Expr]*Pat) (*Pat, error) {
+	if p, ok := memo[e]; ok {
+		return p, nil
+	}
+	p, err := g.lowerNode(e, memo)
+	if err == nil && memo != nil {
+		memo[e] = p
+	}
+	return p, err
+}
+
+// lowerNode lowers the root of e, its kids through lower.
+func (g *Grammar) lowerNode(e *rtl.Expr, memo map[*rtl.Expr]*Pat) (*Pat, error) {
 	switch e.Kind {
 	case rtl.Const:
 		return &Pat{Kind: PatConst, Val: e.Val, Width: e.Width}, nil
@@ -435,14 +467,14 @@ func (g *Grammar) lower(e *rtl.Expr) (*Pat, error) {
 			}
 			return &Pat{Kind: PatNT, NT: nt, Width: e.Width}, nil
 		}
-		addr, err := g.lower(e.Addr())
+		addr, err := g.lower(e.Addr(), memo)
 		if err != nil {
 			return nil, err
 		}
 		return &Pat{Kind: PatMem, Storage: e.Storage, Width: e.Width,
 			Kids: []*Pat{addr}}, nil
 	case rtl.Slice:
-		kid, err := g.lower(e.Kids[0])
+		kid, err := g.lower(e.Kids[0], memo)
 		if err != nil {
 			return nil, err
 		}
@@ -451,7 +483,7 @@ func (g *Grammar) lower(e *rtl.Expr) (*Pat, error) {
 	case rtl.OpApp:
 		kids := make([]*Pat, len(e.Kids))
 		for i, k := range e.Kids {
-			p, err := g.lower(k)
+			p, err := g.lower(k, memo)
 			if err != nil {
 				return nil, err
 			}
@@ -472,12 +504,18 @@ type Stats struct {
 	ChainRules   int
 }
 
-// Stats computes summary counts.
+// Stats computes summary counts.  Rules share pattern subtrees, so each
+// distinct *Pat is visited once.
 func (g *Grammar) Stats() Stats {
 	st := Stats{Nonterminals: len(g.NTNames)}
 	terms := make(map[string]bool)
+	seen := make(map[*Pat]bool)
 	var walkTerms func(p *Pat)
 	walkTerms = func(p *Pat) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
 		if p.Kind != PatNT {
 			terms[p.TermKey()] = true
 		}

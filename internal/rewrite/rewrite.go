@@ -74,19 +74,24 @@ func (p *Pattern) String() string {
 	return "?"
 }
 
-// Bindings holds the result of a successful match.
+// Bindings holds the result of a successful match.  A map is nil when the
+// pattern binds nothing of its kind.
 type Bindings struct {
 	Sub   map[string]*rtl.Expr // PVar bindings
 	Const map[string]int64     // PAnyConst bindings
 }
 
-// Match attempts to match p against e, returning bindings on success.
+// Match attempts to match p against e, returning bindings on success.  The
+// binding maps are made on the first binding and the result is allocated
+// only on success, so a mismatch — almost every node the extension visits
+// fails at the root — allocates nothing.
 func (p *Pattern) Match(e *rtl.Expr) (*Bindings, bool) {
-	b := &Bindings{Sub: make(map[string]*rtl.Expr), Const: make(map[string]int64)}
-	if p.match(e, b) {
-		return b, true
+	var b Bindings
+	if !p.match(e, &b) {
+		return nil, false
 	}
-	return nil, false
+	out := b
+	return &out, true
 }
 
 func (p *Pattern) match(e *rtl.Expr, b *Bindings) bool {
@@ -94,6 +99,9 @@ func (p *Pattern) match(e *rtl.Expr, b *Bindings) bool {
 	case PVar:
 		if prev, ok := b.Sub[p.Name]; ok {
 			return prev.Equal(e)
+		}
+		if b.Sub == nil {
+			b.Sub = make(map[string]*rtl.Expr)
 		}
 		b.Sub[p.Name] = e
 		return true
@@ -105,6 +113,9 @@ func (p *Pattern) match(e *rtl.Expr, b *Bindings) bool {
 		}
 		if prev, ok := b.Const[p.Name]; ok {
 			return prev == e.Val
+		}
+		if b.Const == nil {
+			b.Const = make(map[string]int64)
 		}
 		b.Const[p.Name] = e.Val
 		return true
@@ -335,7 +346,7 @@ func commuteVariants(e *rtl.Expr, limit int) []*rtl.Expr {
 // variant).
 func ruleVariants(e *rtl.Expr, r Rule, limit int) []*rtl.Expr {
 	var out []*rtl.Expr
-	// rewriteAt returns e with the node at path replaced by repl.
+	// replaceAt returns e with the node at path replaced by repl.
 	var replaceAt func(n *rtl.Expr, path []int, repl *rtl.Expr) *rtl.Expr
 	replaceAt = func(n *rtl.Expr, path []int, repl *rtl.Expr) *rtl.Expr {
 		if len(path) == 0 {
@@ -346,8 +357,10 @@ func ruleVariants(e *rtl.Expr, r Rule, limit int) []*rtl.Expr {
 		c.Kids[path[0]] = replaceAt(n.Kids[path[0]], path[1:], repl)
 		return &c
 	}
-	var walk func(n *rtl.Expr, path []int)
-	walk = func(n *rtl.Expr, path []int) {
+	// path is one stack shared by the whole walk; replaceAt only reads it.
+	var path []int
+	var walk func(n *rtl.Expr)
+	walk = func(n *rtl.Expr) {
 		if len(out) >= limit {
 			return
 		}
@@ -368,9 +381,11 @@ func ruleVariants(e *rtl.Expr, r Rule, limit int) []*rtl.Expr {
 			}
 		}
 		for i, k := range n.Kids {
-			walk(k, append(append([]int(nil), path...), i))
+			path = append(path, i)
+			walk(k)
+			path = path[:len(path)-1]
 		}
 	}
-	walk(e, nil)
+	walk(e)
 	return out
 }

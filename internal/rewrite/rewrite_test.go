@@ -235,3 +235,28 @@ func TestVariantLimit(t *testing.T) {
 		t.Fatalf("limit not enforced: %d variants", n)
 	}
 }
+
+// matchSink keeps Match results escaping, as they do in ruleVariants, so
+// the compiler cannot stack-allocate them in the test.
+var matchSink *Bindings
+
+// TestMatchMismatchAllocatesNothing pins the property Extend's speed rests
+// on: a pattern that fails before binding anything — at the root, as almost
+// every node the extension visits does — allocates nothing.
+func TestMatchMismatchAllocatesNothing(t *testing.T) {
+	add := rtl.NewOp(rtl.OpAdd, 16, read("a.r"), read("b.r"))
+	subOne := rtl.NewOp(rtl.OpSub, 16, rtl.NewConst(1, 16), read("a.r"))
+	for _, r := range StandardLibrary() {
+		for _, e := range []*rtl.Expr{read("a.r"), rtl.NewConst(3, 16), add, subOne} {
+			if r.Name == "subIsAddNeg" && e == add {
+				continue // root matches; fails only after binding $a
+			}
+			if _, ok := r.HW.Match(e); ok {
+				t.Fatalf("%s: HW pattern %s matched %s", r.Name, r.HW, e)
+			}
+			if n := testing.AllocsPerRun(100, func() { matchSink, _ = r.HW.Match(e) }); n != 0 {
+				t.Errorf("%s: mismatch against %s allocates %v times", r.Name, e, n)
+			}
+		}
+	}
+}

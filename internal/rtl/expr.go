@@ -13,6 +13,7 @@ package rtl
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/bdd"
@@ -298,41 +299,58 @@ func (e *Expr) String() string {
 
 // Key returns a canonical string usable for structural deduplication; two
 // trees have equal keys iff Equal reports true (widths included).
-func (e *Expr) Key() string {
-	var b strings.Builder
-	e.key(&b)
-	return b.String()
-}
+func (e *Expr) Key() string { return string(e.appendKey(nil)) }
 
-func (e *Expr) key(b *strings.Builder) {
+// appendKey appends e's key to dst.  Keys are built with strconv appends,
+// not fmt: they are computed for every template the extension proposes.
+func (e *Expr) appendKey(dst []byte) []byte {
 	if e == nil {
-		b.WriteString("_")
-		return
+		return append(dst, '_')
 	}
 	switch e.Kind {
 	case Const:
-		fmt.Fprintf(b, "c%d:%d", e.Val, e.Width)
+		dst = append(dst, 'c')
+		dst = strconv.AppendInt(dst, e.Val, 10)
+		dst = appendWidth(dst, e.Width)
 	case PortRef:
-		fmt.Fprintf(b, "p%s:%d", e.Port, e.Width)
+		dst = append(dst, 'p')
+		dst = append(dst, e.Port...)
+		dst = appendWidth(dst, e.Width)
 	case InsnField:
-		fmt.Fprintf(b, "f%d.%d", e.Hi, e.Lo)
+		dst = appendRange(append(dst, 'f'), e.Hi, e.Lo)
 	case Read:
-		fmt.Fprintf(b, "r%s:%d", e.Storage, e.Width)
+		dst = append(dst, 'r')
+		dst = append(dst, e.Storage...)
+		dst = appendWidth(dst, e.Width)
 	case OpApp:
-		fmt.Fprintf(b, "o%s:%d", e.Op, e.Width)
+		dst = append(dst, 'o')
+		dst = append(dst, e.Op...)
+		dst = appendWidth(dst, e.Width)
 	case Slice:
-		fmt.Fprintf(b, "s%d.%d", e.Hi, e.Lo)
+		dst = appendRange(append(dst, 's'), e.Hi, e.Lo)
 	}
 	if len(e.Kids) > 0 {
-		b.WriteByte('(')
+		dst = append(dst, '(')
 		for i, k := range e.Kids {
 			if i > 0 {
-				b.WriteByte(',')
+				dst = append(dst, ',')
 			}
-			k.key(b)
+			dst = k.appendKey(dst)
 		}
-		b.WriteByte(')')
+		dst = append(dst, ')')
 	}
+	return dst
+}
+
+// appendWidth appends ":width".
+func appendWidth(dst []byte, w int) []byte {
+	return strconv.AppendInt(append(dst, ':'), int64(w), 10)
+}
+
+// appendRange appends "hi.lo".
+func appendRange(dst []byte, hi, lo int) []byte {
+	dst = strconv.AppendInt(dst, int64(hi), 10)
+	return strconv.AppendInt(append(dst, '.'), int64(lo), 10)
 }
 
 // ExecCond is an RT template's execution condition: a static constraint over
@@ -378,19 +396,19 @@ func (t *Template) String() string {
 // Key returns a canonical deduplication key covering destination and source
 // pattern (but not the condition: structurally equal transfers with
 // different encodings are merged by Base.Add, OR-ing their conditions).
-func (t *Template) Key() string {
-	var b strings.Builder
+func (t *Template) Key() string { return string(t.appendKey(nil)) }
+
+func (t *Template) appendKey(dst []byte) []byte {
 	if t.DestPort {
-		b.WriteString("P!")
+		dst = append(dst, "P!"...)
 	}
-	b.WriteString(t.Dest)
-	b.WriteByte('=')
+	dst = append(dst, t.Dest...)
+	dst = append(dst, '=')
 	if t.DestAddr != nil {
-		t.DestAddr.key(&b)
+		dst = t.DestAddr.appendKey(dst)
 	}
-	b.WriteByte(';')
-	t.Src.key(&b)
-	return b.String()
+	dst = append(dst, ';')
+	return t.Src.appendKey(dst)
 }
 
 // Base is an RT template base: the complete set of valid templates for one
@@ -399,6 +417,7 @@ type Base struct {
 	Templates []*Template
 	byKey     map[string]*Template
 	nextID    int
+	keyBuf    []byte // Add's reused key buffer
 	// BDD is the manager owning every template's static condition.
 	BDD *bdd.Manager
 }
@@ -412,21 +431,31 @@ func NewBase(m *bdd.Manager) *Base {
 // duplicate transfer arrives, their static conditions are OR-ed (the same
 // RT reachable under several encodings).  It returns the canonical
 // template.
+//
+// The key is built in a reused buffer and looked up without converting it
+// (m[string(buf)] does not allocate); only an inserted key becomes a
+// string.
 func (b *Base) Add(t *Template) *Template {
-	key := t.Key()
-	if prev, ok := b.byKey[key]; ok {
+	b.keyBuf = t.appendKey(b.keyBuf[:0])
+	if prev, ok := b.byKey[string(b.keyBuf)]; ok {
 		if len(t.Cond.Dynamic) == 0 && len(prev.Cond.Dynamic) == 0 {
 			prev.Cond.Static = b.BDD.Or(prev.Cond.Static, t.Cond.Static)
 			return prev
 		}
 		// Distinct dynamic guards: keep both; disambiguate the key.
-		key = fmt.Sprintf("%s#%d", key, b.nextID)
+		b.keyBuf = appendDupID(b.keyBuf, b.nextID)
 	}
 	t.ID = b.nextID
 	b.nextID++
-	b.byKey[key] = t
+	b.byKey[string(b.keyBuf)] = t
 	b.Templates = append(b.Templates, t)
 	return t
+}
+
+// appendDupID appends the suffix that disambiguates the key of template id
+// from an earlier template with the same transfer but other dynamic guards.
+func appendDupID(key []byte, id int) []byte {
+	return strconv.AppendInt(append(key, '#'), int64(id), 10)
 }
 
 // Len returns the number of templates.

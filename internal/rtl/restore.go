@@ -22,14 +22,14 @@ func RestoreBase(m *bdd.Manager, templates []*Template) (*Base, error) {
 		if t.Src == nil {
 			return nil, fmt.Errorf("rtl: restore: template %d has no source pattern", t.ID)
 		}
-		key := t.Key()
-		if _, ok := b.byKey[key]; ok {
-			key = fmt.Sprintf("%s#%d", key, t.ID)
-			if _, ok := b.byKey[key]; ok {
+		key := t.appendKey(nil)
+		if _, ok := b.byKey[string(key)]; ok {
+			key = appendDupID(key, t.ID)
+			if _, ok := b.byKey[string(key)]; ok {
 				return nil, fmt.Errorf("rtl: restore: duplicate template key %q", key)
 			}
 		}
-		b.byKey[key] = t
+		b.byKey[string(key)] = t
 		b.Templates = append(b.Templates, t)
 		if t.ID >= b.nextID {
 			b.nextID = t.ID + 1
